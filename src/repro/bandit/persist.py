@@ -18,12 +18,12 @@ the caller knowing which tuner wrote the file.  The on-disk envelope
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, Optional
 
 from repro.bandit.config import BanditConfig
 from repro.bandit.linucb import RidgeModel
 from repro.bandit.tuner import BanditTuner, _key
-from repro.core.candidates import CandidateStats
 from repro.engine.catalog import Catalog
 from repro.engine.storage import PhysicalStore
 from repro.guardrails.manager import GuardrailManager
@@ -36,16 +36,6 @@ ENGINE = "bandit"
 
 def snapshot_bandit_tuner(tuner: BanditTuner) -> Dict:
     """Serialize a bandit tuner's durable state to a JSON dict."""
-    candidates = []
-    for stats in tuner.profiler.candidates.ranked():
-        candidates.append(
-            {
-                "table": stats.index.table,
-                "columns": list(stats.index.columns),
-                "window": list(stats._window),  # noqa: SLF001 - owner module
-                "smoothed": stats.smoothed_benefit,
-            }
-        )
     watch = None
     if tuner._safety_watch is not None:  # noqa: SLF001 - owner module
         added, baseline = tuner._safety_watch  # noqa: SLF001
@@ -61,7 +51,7 @@ def snapshot_bandit_tuner(tuner: BanditTuner) -> Dict:
             [ix.table, list(ix.columns)] for ix in tuner.materialized_set
         ],
         "hot": [[ix.table, list(ix.columns)] for ix in tuner.hot_set],
-        "candidates": candidates,
+        "candidates": tuner.profiler.candidates.to_snapshot(),
         "model": tuner.model.to_snapshot(),
         "features": tuner.features.to_snapshot(),
         "epochs_closed": tuner.epochs_closed,
@@ -148,14 +138,9 @@ def _restore(
         _resolve(catalog, table, columns) for table, columns in snapshot["hot"]
     ]
 
-    tracker = tuner.profiler.candidates
-    for entry in snapshot["candidates"]:
-        index = _resolve(catalog, entry["table"], entry["columns"])
-        stats = CandidateStats(index, config.history_epochs, config.smoothing)
-        for value in entry["window"][-config.history_epochs:]:
-            stats._window.append(float(value))  # noqa: SLF001
-        stats._smoothed = float(entry["smoothed"])  # noqa: SLF001
-        tracker._stats[_key(index)] = stats  # noqa: SLF001
+    tuner.profiler.candidates.restore(
+        snapshot["candidates"], functools.partial(_resolve, catalog)
+    )
 
     model = RidgeModel.from_snapshot(snapshot["model"])
     if model.dim != tuner.model.dim:

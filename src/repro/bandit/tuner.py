@@ -24,52 +24,44 @@ Safety rails:
   ``safety_factor x`` the pre-change cost, the change is reverted and
   the added arms are banned for a cooldown.
 
-The class conforms to the :class:`~repro.core.colt.ColtTuner` surface
-(``run``/``process_query`` loop, :class:`QueryOutcome` ledger records,
-:class:`ReorganizationResult` at boundaries, snapshot save/restore,
-metrics registry, breaker hooks), so the fleet, guardrails, CLI, and
-fault injection drive either engine unchanged.
+:class:`BanditTuner` is an engine policy behind the shared
+:class:`~repro.core.shell.TunerShell`, which owns the serving loop
+(``run``/``process_query``/``process_insert``, the
+:class:`~repro.core.shell.QueryOutcome` ledger, the scheduler protocol,
+metrics and advisory), so the fleet, guardrails, CLI, snapshots and
+fault injection drive either engine unchanged.  The bandit's own steps
+are recording arm usage before guardrail verification, pricing reward
+probes after it, and the learn-then-select decision round.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bandit.config import BanditConfig
 from repro.bandit.features import FEATURE_DIM, FeatureMap
 from repro.bandit.linucb import RidgeModel
 from repro.core.candidates import CandidateTracker
-from repro.core.colt import InsertOutcome, QueryOutcome
 from repro.core.gaincache import GainCache
 from repro.core.knapsack import (
     KnapsackItem,
     SelectionConstraints,
     solve_constrained,
 )
-from repro.core.scheduler import Scheduler, SchedulingPolicy
+from repro.core.scheduler import RetryReport
 from repro.core.self_organizer import ReorganizationResult
+from repro.core.shell import TunerShell
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
-from repro.engine.storage import PhysicalStore
 from repro.executor.executor import execute
 from repro.executor.instrument import CountingStore
 from repro.guardrails.synthesis import synthesize_constraints
 from repro.guardrails.verify import observed_cost
-from repro.obs.dashboard import OverheadDashboard
-from repro.obs.export import build_snapshot
 from repro.obs.names import BANDIT_METRICS, RESILIENCE_METRICS
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import SpanTracer
-from repro.backend.base import Backend
-from repro.backend.local import LocalBackend
-from repro.optimizer.whatif import WhatIfOptimizer
+from repro.optimizer.whatif import WhatIfOptimizer, WhatIfProbeError, WhatIfSession
 from repro.resilience.breaker import CircuitBreaker
-from repro.resilience.faults import FaultInjector
-from repro.resilience.retry import RetryPolicy
 from repro.sql.ast import Query
-
-if TYPE_CHECKING:  # avoid repro.bandit <-> repro.guardrails import cycle
-    from repro.guardrails.manager import GuardrailManager
 
 # Composite-safe index identity, shared with the Self-Organizer.
 IndexKey = Tuple[str, Tuple[str, ...]]
@@ -125,88 +117,40 @@ class BanditProfile:
         self.whatif_used = 0
         self.probe_failures = 0
 
-    def set_budget(self, budget: int) -> None:
-        """No-op: the bandit has no adaptive what-if budget."""
 
-    def purge_stale(self) -> None:
-        """No-op: the bandit keeps no pair statistics to purge."""
-
-
-class BanditTuner:
+class BanditTuner(TunerShell):
     """On-line index tuning by contextual combinatorial UCB.
 
-    Accepts the same construction surface as
-    :class:`~repro.core.colt.ColtTuner` (catalog, optional store,
-    scheduling policy, breaker, retry, fault injector, registry,
-    guardrails) so every existing harness can swap engines.
+    Takes the :class:`~repro.core.shell.TunerShell` construction
+    surface with a :class:`BanditConfig`, so every harness can swap
+    engines.  Engine-specific meaning of the shared arguments:
 
-    Args:
-        catalog: The catalog to tune; its materialized set is owned by
-            the tuner from now on.
-        config: Bandit parameters (:class:`BanditConfig`).
-        store: Optional physical store.  When given, rewards are priced
-            from real executions on a :class:`CountingStore`; without
-            one, optimizer plan costs stand in (still *post-decision*
-            costs, never what-if forecasts of unbuilt indexes).
-        policy: Materialization scheduling policy.
-        breaker: Circuit breaker guarding reward probes.
-        retry: Backoff policy for failed index builds.
-        fault_injector: Optional fault injector (installs failpoints on
-            ``self.whatif`` and ``self.scheduler``, same as for COLT).
-        registry: Metrics registry; defaults to a fresh enabled one.
-        guardrails: Optional guardrail manager; verification, quarantine
-            and DBA constraints apply to the bandit's knapsack exactly
-            as to COLT's.
+    * ``store`` -- when given, rewards are priced from real executions
+      on a :class:`CountingStore`; without one, optimizer plan costs
+      stand in (still *post-decision* costs, never what-if forecasts of
+      unbuilt indexes).
+    * ``breaker`` -- guards reward probes.
+    * ``guardrails`` -- verification, quarantine and DBA constraints
+      apply to the bandit's knapsack exactly as to COLT's.
     """
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        config: Optional[BanditConfig] = None,
-        store: Optional[PhysicalStore] = None,
-        policy: SchedulingPolicy = SchedulingPolicy.IMMEDIATE,
-        breaker: Optional[CircuitBreaker] = None,
-        retry: Optional[RetryPolicy] = None,
-        fault_injector: Optional[FaultInjector] = None,
-        registry: Optional[MetricsRegistry] = None,
-        guardrails: Optional["GuardrailManager"] = None,
-        backend: Optional[Backend] = None,
-    ) -> None:
-        self.catalog = catalog
-        self.config = config or BanditConfig()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracer = SpanTracer(enabled=self.registry.enabled)
-        self.dashboard = OverheadDashboard()
-        self.backend = backend if backend is not None else LocalBackend(catalog)
-        if self.backend.catalog is not catalog:
-            raise ValueError("backend and tuner must share one catalog")
-        self.backend.bind_registry(self.registry)
-        self.optimizer = getattr(self.backend, "optimizer", None)
-        self.whatif = WhatIfOptimizer(backend=self.backend)
+    engine = "bandit"
+    config_class = BanditConfig
+    metric_families = BANDIT_METRICS
+
+    def _build_engine(self, breaker: Optional[CircuitBreaker]) -> None:
         self.profiler = BanditProfile(
-            catalog, self.whatif, self.config, breaker=breaker, registry=self.registry
+            self.catalog, self.whatif, self.config, breaker=breaker, registry=self.registry
         )
-        self.scheduler = Scheduler(
-            catalog, store=store, policy=policy, retry=retry, registry=self.registry
-        )
-        self.scheduler.on_change = lambda changed: (
-            self.profiler.gain_cache.invalidate_indexes(
-                changed, reason="materialization"
-            )
-        )
-        if fault_injector is not None:
-            fault_injector.attach(self)
-        self._store = store
-        self._counting = CountingStore(store) if store is not None else None
+        self._counting = CountingStore(self._store) if self._store is not None else None
         self.model = RidgeModel(
             FEATURE_DIM,
             lambda_reg=self.config.lambda_reg,
             forgetting=self.config.forgetting,
         )
-        self.features = FeatureMap(catalog, self.config.storage_budget_pages)
-        self.materialized = set(catalog.materialized_indexes())
+        self.features = FeatureMap(self.catalog, self.config.storage_budget_pages)
+        self.materialized = set(self.catalog.materialized_indexes())
         self.hot: List[IndexDef] = []
-        self._queries_seen = 0
         self._epochs_closed = 0
         # Per-round reward bookkeeping.
         self._epoch_rewards: Dict[IndexKey, List[float]] = {}
@@ -217,198 +161,37 @@ class BanditTuner:
         self._safety_watch: Optional[Tuple[List[IndexDef], float]] = None
         self._safety_bans: Dict[IndexKey, Tuple[IndexDef, int]] = {}
         self._prev_solution_value = 0.0
-        self._metrics = {
-            name: spec.build(self.registry) for name, spec in BANDIT_METRICS.items()
-        }
-        self._metrics["bandit_materialized_indexes"].set(len(self.materialized))
-        self.guardrails = guardrails
-        if guardrails is not None:
-            guardrails.attach(self)
-        # Advisory soft preferences pushed down by an external adviser
-        # (the fleet co-tuning controller); merged with guardrail
-        # constraints at each epoch boundary, pins/bans winning.
-        self._advisory: Tuple = ()
-
-    # ------------------------------------------------------------------
-    def set_advisory(self, preferred) -> None:
-        """Install advisory ``(IndexDef, weight)`` soft preferences.
-
-        Mirrors ``ColtTuner.set_advisory``: the fleet's co-tuning loop
-        biases this replica's super-arm knapsack toward its workload
-        partition, and the partition footprint is seeded into the
-        candidate tracker so it can enter the arm pool.  An empty
-        sequence clears stale advice.
-        """
-        self._advisory = tuple(
-            sorted(preferred, key=lambda kv: str(kv[0]))
-        )
-        self.profiler.candidates.seed(ix for ix, _ in self._advisory)
-
-    @property
-    def materialized_set(self) -> List[IndexDef]:
-        """The current materialized set ``M``."""
-        return sorted(self.materialized, key=str)
-
-    @property
-    def hot_set(self) -> List[IndexDef]:
-        """Arms close to selection (reporting parity with COLT's ``H``)."""
-        return sorted(self.hot, key=str)
-
-    @property
-    def queries_seen(self) -> int:
-        """Number of queries processed so far."""
-        return self._queries_seen
 
     @property
     def epochs_closed(self) -> int:
         """Decision rounds completed so far."""
         return self._epochs_closed
 
-    @property
-    def metrics(self) -> MetricsRegistry:
-        """The tuner's metrics registry (shared with its components)."""
-        return self.registry
-
-    def metrics_snapshot(self) -> Dict:
-        """Self-describing snapshot: metric families, overhead, spans."""
-        return build_snapshot(
-            self.registry.snapshot(),
-            overhead=self.dashboard.to_rows(),
-            spans=self.tracer.summary(),
-        )
-
     # ------------------------------------------------------------------
-    def process_query(self, query: Query) -> QueryOutcome:
-        """Process one arriving (bound) query.
+    # per-query observation
+    def _open_session(self, query: Query) -> WhatIfSession:
+        # Reward probes run behind the breaker; its clock is the query
+        # stream, ticked even when planning the query fails.
+        self.profiler.breaker.tick()
+        return self.whatif.begin_query(query)
 
-        Optimizes it under the configuration in force, records arm
-        usage and (within the round's observation budget) counterfactual
-        reward samples, and -- at round boundaries -- updates the model
-        and re-selects the super-arm.
+    def _profile(self, query: Query, session: WhatIfSession) -> None:
+        """Record arm usage and mine candidates from the query."""
+        self.features.note_query(query.tables)
+        # Kept for _observe: the plan is the same one, read once.
+        self._used = session.base.plan.indexes_used()
+        self.profiler.candidates.observe_query(query, self._used, self.materialized)
 
-        Returns:
-            The ledger record for the query (same type COLT emits).
-        """
-        with self.tracer.span("query", index=self._queries_seen):
-            self.profiler.breaker.tick()
-            session = self.whatif.begin_query(query)
-            self.features.note_query(query.tables)
-            used = session.base.plan.indexes_used()
-            self.profiler.candidates.observe_query(query, used, self.materialized)
+    def _observe(self, session: WhatIfSession) -> Tuple[int, float]:
+        """Price the query as it ran, then sample arm rewards."""
+        base_observed = self._price_base(session)
+        self._epoch_observed_cost += base_observed
+        return self._observe_rewards(session, self._used, base_observed)
 
-            verify_calls = 0
-            verify_overhead = 0.0
-            if self.guardrails is not None:
-                verify_calls, verify_charge = self.guardrails.observe_query(
-                    session, self.materialized
-                )
-                verify_overhead = (
-                    verify_calls * self.config.whatif_call_cost + verify_charge
-                )
-
-            base_observed = self._price_base(session)
-            self._epoch_observed_cost += base_observed
-            probe_calls, probe_overhead = self._observe_rewards(
-                session, used, base_observed
-            )
-
-            self._queries_seen += 1
-            build_cost = 0.0
-            reorg: Optional[ReorganizationResult] = None
-            epoch_ended = self._queries_seen % self.config.epoch_length == 0
-            if epoch_ended:
-                epoch = self._queries_seen // self.config.epoch_length - 1
-                with self.tracer.span("epoch_close", epoch=epoch):
-                    probes_spent = self._epoch_probes
-                    reorg = self._close_epoch()
-                    build_cost = self._apply(reorg)
-                self._record_epoch(reorg, probes_spent, build_cost)
-
-        self._metrics["bandit_queries_total"].inc()
-        return QueryOutcome(
-            index=self._queries_seen - 1,
-            execution_cost=session.base.cost,
-            whatif_calls=probe_calls,
-            whatif_overhead=probe_overhead,
-            build_cost=build_cost,
-            total_cost=session.base.cost
-            + probe_overhead
-            + verify_overhead
-            + build_cost,
-            plan=session.base.plan,
-            verify_calls=verify_calls,
-            verify_overhead=verify_overhead,
-            epoch_ended=epoch_ended,
-            reorganization=reorg,
-        )
-
-    def process_insert(self, table: str, rows=None, count: Optional[int] = None) -> InsertOutcome:
-        """Process a batch of inserts (write-aware extension).
-
-        Mirrors :meth:`ColtTuner.process_insert` -- heap append plus one
-        maintenance charge per (row, materialized index on the table) --
-        and additionally feeds the write-pressure feature, which is how
-        the bandit learns to retire indexes on write-hot tables.
-        """
-        if rows is None and count is None:
-            raise ValueError("provide rows or count")
-        if self._store is not None:
-            if rows is None:
-                raise ValueError(
-                    "a physical store is attached: concrete rows are required"
-                )
-            n = self._store.apply_inserts(table, rows)
-        else:
-            n = len(list(rows)) if rows is not None else int(count)
-            self.catalog.apply_row_delta(table, n)
-        self.profiler.gain_cache.invalidate_table(table)
-        self.features.note_insert(table, n)
-
-        params = self.catalog.params
-        n_indexes = len(self.catalog.materialized_indexes(table))
-        heap_cost = n * params.cpu_tuple_cost
-        maintenance = n * n_indexes * params.index_maintain_cost_per_tuple
-        return InsertOutcome(
-            table=table,
-            count=n,
-            heap_cost=heap_cost,
-            maintenance_cost=maintenance,
-            total_cost=heap_cost + maintenance,
-        )
-
-    def run(self, queries, on_error: str = "raise") -> List[QueryOutcome]:
-        """Process a sequence of queries, returning all ledger records.
-
-        Same contract as :meth:`ColtTuner.run`: ``"raise"`` propagates
-        the first failure, ``"skip"`` records it as a zero-cost outcome
-        carrying the exception and keeps the epoch clock ticking.
-        """
-        if on_error not in ("raise", "skip"):
-            raise ValueError(f"on_error must be 'raise' or 'skip', got {on_error!r}")
-        outcomes: List[QueryOutcome] = []
-        for query in queries:
-            seen_before = self._queries_seen
-            try:
-                outcomes.append(self.process_query(query))
-            except Exception as exc:
-                if on_error == "raise":
-                    raise
-                if self._queries_seen == seen_before:
-                    self._queries_seen += 1
-                self._metrics["bandit_query_failures_total"].inc()
-                outcomes.append(
-                    QueryOutcome(
-                        index=self._queries_seen - 1,
-                        execution_cost=0.0,
-                        whatif_calls=0,
-                        whatif_overhead=0.0,
-                        build_cost=0.0,
-                        total_cost=0.0,
-                        plan=None,
-                        error=exc,
-                    )
-                )
-        return outcomes
+    def _note_insert(self, table: str, rows: int) -> None:
+        # The write-pressure feature is how the bandit learns to retire
+        # indexes on write-hot tables.
+        self.features.note_insert(table, rows)
 
     # ------------------------------------------------------------------
     # reward observation
@@ -467,7 +250,7 @@ class BanditTuner:
                 without = self.backend.optimize(
                     session.query, config=without_config, session=session
                 )
-            except Exception:
+            except WhatIfProbeError:
                 self.profiler.breaker.record_failure()
                 self.profiler.probe_failures += 1
                 continue
@@ -483,8 +266,8 @@ class BanditTuner:
                 reward = without.cost - session.base.cost
             charge += probe_charge
             self._epoch_rewards.setdefault(key, []).append(reward)
-            self._metrics["bandit_observe_probes_total"].inc()
-            self._metrics["bandit_observe_overhead_cost_total"].inc(probe_charge)
+            self._metrics["observe_probes_total"].inc()
+            self._metrics["observe_overhead_cost_total"].inc(probe_charge)
         return calls, charge
 
     # ------------------------------------------------------------------
@@ -513,8 +296,8 @@ class BanditTuner:
             else:
                 continue  # used but unprobed: no evidence, no update
             self.model.update(x, reward)
-            self._metrics["bandit_reward_samples_total"].inc()
-            self._metrics["bandit_reward"].observe(abs(reward))
+            self._metrics["reward_samples_total"].inc()
+            self._metrics["reward"].observe(abs(reward))
 
         # 2. Safety fallback: judge the previous round's change.
         self._tick_safety(mean_cost)
@@ -552,13 +335,11 @@ class BanditTuner:
 
     def _tick_safety(self, mean_cost: float) -> None:
         """Revert and ban the last change if observed cost regressed."""
-        expired = [k for k, (_, left) in self._safety_bans.items() if left <= 1]
         self._safety_bans = {
             k: (ix, left - 1)
             for k, (ix, left) in self._safety_bans.items()
             if left > 1
         }
-        del expired
         if self._safety_watch is None:
             return
         added, baseline = self._safety_watch
@@ -573,7 +354,7 @@ class BanditTuner:
                 index,
                 self.config.safety_cooldown_epochs,
             )
-        self._metrics["bandit_safety_fallbacks_total"].inc()
+        self._metrics["safety_fallbacks_total"].inc()
 
     def _arm_pool(self) -> List[IndexDef]:
         """Arms for this round: ``M`` plus the best-ranked candidates."""
@@ -596,7 +377,7 @@ class BanditTuner:
     ) -> ReorganizationResult:
         forced = self._epochs_closed < self.config.forced_exploration_epochs
         if forced:
-            self._metrics["bandit_forced_exploration_epochs_total"].inc()
+            self._metrics["forced_exploration_epochs_total"].inc()
         epoch_length = self.config.epoch_length
 
         pool = self._arm_pool()
@@ -606,7 +387,7 @@ class BanditTuner:
             if _key(index) not in present:
                 pool.append(index)
                 present.add(_key(index))
-        self._metrics["bandit_arms"].set(len(pool))
+        self._metrics["arms"].set(len(pool))
         items: List[KnapsackItem] = []
         scores: Dict[IndexKey, float] = {}
         for index in pool:
@@ -615,7 +396,7 @@ class BanditTuner:
             )
             width = self.model.width(x)
             optimistic = self.model.mean(x) + self.config.alpha * width
-            self._metrics["bandit_confidence_width"].observe(width)
+            self._metrics["confidence_width"].observe(width)
             value = optimistic * epoch_length
             if not forced:
                 build = self.catalog.index_build_cost(index)
@@ -686,48 +467,14 @@ class BanditTuner:
             ),
         )
 
-    def _apply(self, reorg: ReorganizationResult) -> float:
-        """Apply decisions through the scheduler (COLT's exact protocol)."""
-        retry = self.scheduler.advance_epoch()
-        build_cost = retry.charged
-        for index in retry.recovered:
-            self.materialized.add(index)
-        for index in reorg.materialize:
-            self.materialized.add(index)
-        for index in reorg.drop:
-            self.materialized.discard(index)
-        build_cost += self.scheduler.request_materialization(reorg.materialize)
-        self.scheduler.request_drop(reorg.drop)
-        if self.guardrails is not None and reorg.drop:
-            self.guardrails.on_drop(reorg.drop)
-        queued = set(self.scheduler.pending)
-        failed = [
-            ix
-            for ix in reorg.materialize
-            if not self.catalog.is_materialized(ix) and ix not in queued
-        ]
-        for index in failed:
-            self.materialized.discard(index)
-            if self._safety_watch is not None:
-                watched, baseline = self._safety_watch
-                watched = [ix for ix in watched if ix != index]
-                self._safety_watch = (watched, baseline) if watched else None
-        reorg.build_failures = failed
-        reorg.recovered_builds = list(retry.recovered)
-        reorg.abandoned_builds = list(retry.abandoned)
-        reorg.breaker_state = self.profiler.breaker.state.value
-        return build_cost
+    def _probe_budget(self) -> Tuple[int, int, int]:
+        budget = self.config.observe_per_epoch
+        return budget, budget, self._epoch_probes
 
-    def _record_epoch(
-        self, reorg: ReorganizationResult, probes_spent: int, build_cost: float
-    ) -> None:
-        self._metrics["bandit_epochs_total"].inc()
-        self._metrics["bandit_materialized_indexes"].set(len(self.materialized))
-        self.dashboard.record(
-            requested=self.config.observe_per_epoch,
-            granted=self.config.observe_per_epoch,
-            spent=probes_spent,
-            ratio=reorg.improvement_ratio,
-            build_cost=build_cost,
-            breaker_state=reorg.breaker_state,
-        )
+    def _after_apply(self, reorg: ReorganizationResult, retry: RetryReport) -> None:
+        # A change that failed to build cannot regress the next round:
+        # stop watching it.
+        if self._safety_watch is not None and reorg.build_failures:
+            watched, baseline = self._safety_watch
+            watched = [ix for ix in watched if ix not in reorg.build_failures]
+            self._safety_watch = (watched, baseline) if watched else None

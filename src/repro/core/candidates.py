@@ -10,7 +10,7 @@ promotion into the hot set.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
@@ -262,6 +262,39 @@ class CandidateTracker:
                 )
                 created += 1
         return created
+
+    def to_snapshot(self) -> List[Dict]:
+        """JSON-compatible crude-benefit windows, in :meth:`ranked` order."""
+        return [
+            {
+                "table": stats.index.table,
+                "columns": list(stats.index.columns),
+                "window": list(stats._window),
+                "smoothed": stats.smoothed_benefit,
+            }
+            for stats in self.ranked()
+        ]
+
+    def restore(
+        self,
+        entries: Sequence[Dict],
+        resolve: Callable[[str, Sequence[str]], IndexDef],
+    ) -> None:
+        """Re-create candidate windows from :meth:`to_snapshot` entries.
+
+        Args:
+            entries: Snapshot entries, restored in order.
+            resolve: ``(table, columns) -> IndexDef`` over this tracker's
+                catalog; it validates the reference and raises on an
+                unknown table or column.
+        """
+        for entry in entries:
+            index = resolve(entry["table"], entry["columns"])
+            stats = CandidateStats(index, self._history, self._smoothing)
+            for value in entry["window"][-self._history :]:
+                stats._window.append(float(value))
+            stats._smoothed = float(entry["smoothed"])
+            self._stats[(index.table, index.columns)] = stats
 
     def ranked(self, exclude: Iterable[IndexDef] = ()) -> List[CandidateStats]:
         """Candidates by descending smoothed benefit, minus exclusions."""

@@ -217,11 +217,7 @@ def resolve_advisory(
         tdef = catalog.table(table)
         if not all(tdef.has_column(c) for c in columns):
             continue
-        if len(columns) == 1:
-            index = catalog.index_for(table, columns[0])
-        else:
-            index = catalog.composite_index_for(table, list(columns))
-        resolved.append((index, weight))
+        resolved.append((catalog.composite_index_for(table, columns), weight))
     return resolved
 
 

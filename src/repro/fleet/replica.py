@@ -23,8 +23,9 @@ import enum
 from typing import List, Optional
 
 from repro.bench.tracing import EpochTrace, TunerTrace
-from repro.core.colt import ColtTuner, QueryOutcome
+from repro.core.colt import ColtTuner
 from repro.core.config import ColtConfig
+from repro.core.shell import QueryOutcome, TunerShell
 from repro.engine.catalog import Catalog
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import BreakerState, CircuitBreaker
@@ -57,12 +58,15 @@ class ReplicaStats:
         queries: Queries processed by this replica.
         execution_cost: Sum of execution costs of those queries.
         total_cost: Execution plus tuning overheads (what-if, builds).
+        whatif_calls: Probes spent on those queries (what-if calls or
+            reward probes, per the engine).
         failed: Queries that errored and were recorded in skip mode.
     """
 
     queries: int = 0
     execution_cost: float = 0.0
     total_cost: float = 0.0
+    whatif_calls: int = 0
     failed: int = 0
 
 
@@ -104,7 +108,7 @@ class TunerReplica:
         config: Optional[ColtConfig] = None,
         breaker: Optional[CircuitBreaker] = None,
         fault_injector: Optional[FaultInjector] = None,
-        tuner: Optional[ColtTuner] = None,
+        tuner: Optional[TunerShell] = None,
         registry: Optional[MetricsRegistry] = None,
         guardrails=None,
         engine: str = "colt",
@@ -156,9 +160,7 @@ class TunerReplica:
     @property
     def engine(self) -> str:
         """The tuning engine this replica runs (``"colt"``/``"bandit"``)."""
-        from repro.bandit.tuner import BanditTuner
-
-        return "bandit" if isinstance(self.tuner, BanditTuner) else "colt"
+        return self.tuner.engine
 
     @property
     def health(self) -> ReplicaHealth:
@@ -179,7 +181,7 @@ class TunerReplica:
     def quarantined_names(self) -> List[str]:
         """Names of indexes this replica's guardrails hold in quarantine
         (or on parole); empty when no guardrail manager is attached."""
-        manager = getattr(self.tuner, "guardrails", None)
+        manager = self.tuner.guardrails
         if manager is None:
             return []
         return [entry.index.name for entry in manager.quarantine.entries]
@@ -190,7 +192,7 @@ class TunerReplica:
 
         Args:
             query: The bound query.
-            on_error: Forwarded to :meth:`~repro.core.colt.ColtTuner.run`
+            on_error: Forwarded to :meth:`~repro.core.shell.TunerShell.run`
                 -- ``"skip"`` records a failed query as a zero-cost
                 outcome carrying its exception instead of raising.
         """
@@ -206,10 +208,7 @@ class TunerReplica:
         charges the probe against its per-epoch budget; this method only
         measures.
         """
-        backend = getattr(self.tuner, "backend", None)
-        if backend is not None:
-            return backend.get_cost(query)
-        return self.tuner.optimizer.optimize(query).cost
+        return self.tuner.backend.get_cost(query)
 
     def idle_tick(self) -> None:
         """Advance the breaker clock while this replica receives no traffic.
@@ -230,6 +229,7 @@ class TunerReplica:
         self.stats.queries += 1
         self.stats.execution_cost += outcome.execution_cost
         self.stats.total_cost += outcome.total_cost
+        self.stats.whatif_calls += outcome.whatif_calls
         if outcome.failed:
             self.stats.failed += 1
         self._epoch_exec += outcome.execution_cost

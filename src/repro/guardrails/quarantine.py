@@ -213,11 +213,7 @@ class Quarantine:
         quarantine.total_quarantines = int(data.get("total_quarantines", 0))
         quarantine.total_releases = int(data.get("total_releases", 0))
         for raw in data.get("entries", []):
-            columns = list(raw["columns"])
-            if len(columns) == 1:
-                index = catalog.index_for(raw["table"], columns[0])
-            else:
-                index = catalog.composite_index_for(raw["table"], columns)
+            index = catalog.composite_index_for(raw["table"], raw["columns"])
             breaker = CircuitBreaker(
                 failure_threshold=1,
                 cooldown_ticks=quarantine.cooldown_epochs,

@@ -309,11 +309,7 @@ class RolloutController:
             (table, tuple(columns)) for table, columns in data.get("baseline", [])
         }
         for raw in data.get("records", []):
-            columns = list(raw["columns"])
-            if len(columns) == 1:
-                index = catalog.index_for(raw["table"], columns[0])
-            else:
-                index = catalog.composite_index_for(raw["table"], columns)
+            index = catalog.composite_index_for(raw["table"], raw["columns"])
             record = RolloutRecord(
                 index=index,
                 stage=RolloutStage(raw["stage"]),

@@ -319,11 +319,7 @@ class IndexVerifier:
     def restore(self, entries: List[Dict], catalog: Catalog) -> None:
         """Rebuild tracked states against an equivalent catalog."""
         for raw in entries:
-            columns = list(raw["columns"])
-            if len(columns) == 1:
-                index = catalog.index_for(raw["table"], columns[0])
-            else:
-                index = catalog.composite_index_for(raw["table"], columns)
+            index = catalog.composite_index_for(raw["table"], raw["columns"])
             state = VerificationState(
                 index=index,
                 samples=int(raw["samples"]),

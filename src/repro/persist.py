@@ -33,6 +33,7 @@ Usage::
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -67,16 +68,6 @@ def snapshot_tuner(tuner: ColtTuner) -> Dict:
     index.
     """
     so = tuner.self_organizer
-    candidates = []
-    for stats in tuner.profiler.candidates.ranked():
-        candidates.append(
-            {
-                "table": stats.index.table,
-                "columns": list(stats.index.columns),
-                "window": list(stats._window),  # noqa: SLF001 - owner module
-                "smoothed": stats.smoothed_benefit,
-            }
-        )
     return {
         "version": SNAPSHOT_VERSION,
         "config": _config_to_dict(tuner.config),
@@ -97,7 +88,7 @@ def snapshot_tuner(tuner: ColtTuner) -> Dict:
                 _key_text(t, cols): n for (t, cols), n in so._measured.items()
             },
         },
-        "candidates": candidates,
+        "candidates": tuner.profiler.candidates.to_snapshot(),
         "whatif_budget": tuner.profiler.whatif_budget,
         **(
             {"guardrails": tuner.guardrails.to_snapshot()}
@@ -185,7 +176,9 @@ def _restore_tuner(
     for key_text, count in snapshot["histories"]["measured"].items():
         so._measured[_parse_key(catalog, key_text)] = int(count)
 
-    _restore_candidates(tuner, snapshot["candidates"], config)
+    tuner.profiler.candidates.restore(
+        snapshot["candidates"], functools.partial(_resolve, catalog)
+    )
     tuner.profiler.set_budget(int(snapshot["whatif_budget"]))
     return tuner
 
@@ -200,13 +193,13 @@ def snapshot_any(tuner) -> Dict:
     Raises:
         SnapshotError: for a tuner type no serializer knows.
     """
-    if isinstance(tuner, ColtTuner):
+    engine = getattr(tuner, "engine", None)
+    if engine == "colt":
         return snapshot_tuner(tuner)
-    # Deferred import: repro.bandit imports repro.persist helpers.
-    from repro.bandit.persist import snapshot_bandit_tuner
-    from repro.bandit.tuner import BanditTuner
+    if engine == "bandit":
+        # Deferred import: repro.bandit imports repro.persist helpers.
+        from repro.bandit.persist import snapshot_bandit_tuner
 
-    if isinstance(tuner, BanditTuner):
         return snapshot_bandit_tuner(tuner)
     raise SnapshotError(
         f"no snapshot serializer for tuner type {type(tuner).__name__}"
@@ -387,8 +380,6 @@ def _resolve(catalog: Catalog, table: str, columns):
             raise SnapshotError(
                 f"snapshot references unknown column {table}.{column}"
             )
-    if len(columns) == 1:
-        return catalog.index_for(table, columns[0])
     return catalog.composite_index_for(table, columns)
 
 
@@ -397,16 +388,3 @@ def _parse_key(catalog: Catalog, text: str):
     columns = rest.split(",")
     index = _resolve(catalog, table, columns)
     return index.table, index.columns
-
-
-def _restore_candidates(tuner: ColtTuner, entries, config: ColtConfig) -> None:
-    from repro.core.candidates import CandidateStats
-
-    tracker = tuner.profiler.candidates
-    for entry in entries:
-        index = _resolve(tuner.catalog, entry["table"], entry["columns"])
-        stats = CandidateStats(index, config.history_epochs, config.smoothing)
-        for value in entry["window"][-config.history_epochs :]:
-            stats._window.append(float(value))  # noqa: SLF001
-        stats._smoothed = float(entry["smoothed"])  # noqa: SLF001
-        tracker._stats[(index.table, index.columns)] = stats  # noqa: SLF001

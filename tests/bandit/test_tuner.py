@@ -5,11 +5,13 @@ import random
 import pytest
 
 from repro.bandit import BanditConfig, BanditTuner
+from repro.backend.base import TraceMissError
 from repro.bandit.tuner import _key
 from repro.engine.datatypes import DataType
 from repro.engine.index import IndexDef
 from repro.obs.registry import MetricsRegistry
 from repro.resilience.breaker import CircuitBreaker
+from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.sql.ast import (
     ColumnExpr,
     CompareOp,
@@ -108,6 +110,46 @@ class TestRunErrors:
         # The epoch clock keeps ticking through the failure.
         assert tuner.queries_seen == 3
         assert _metric_total(tuner, "bandit_query_failures_total") == 1
+
+
+class TestProbeErrors:
+    """Only what-if probe faults are reward-probe noise: a code bug or a
+    broken backend must surface, not degrade the bandit silently."""
+
+    def _tuner_with_used_arm(self, catalog, **kwargs):
+        tuner = BanditTuner(
+            catalog, BanditConfig(epoch_length=5, storage_budget_pages=5000.0), **kwargs
+        )
+        ix = IndexDef("events", "user_id", DataType.INT)
+        catalog.materialize_index(ix)
+        tuner.materialized.add(ix)
+        return tuner
+
+    @pytest.mark.parametrize(
+        "error", [TypeError("bug in the optimizer"), TraceMissError("no entry")]
+    )
+    def test_non_fault_errors_escape_the_reward_probe(self, small_catalog, error):
+        tuner = self._tuner_with_used_arm(small_catalog)
+        real = tuner.backend.optimize
+
+        def optimize(query, config=None, session=None, **kwargs):
+            if session is not None:  # the reward probe, not base planning
+                raise error
+            return real(query, config=config, session=session, **kwargs)
+
+        tuner.backend.optimize = optimize
+        with pytest.raises(type(error)) as raised:
+            tuner.run([_eq_query(7)], on_error="raise")
+        assert raised.value is error
+        assert tuner.profiler.probe_failures == 0
+
+    def test_injected_fault_is_absorbed_as_probe_noise(self, small_catalog):
+        injector = FaultInjector(FaultPlan(whatif=FaultSpec(probability=1.0)), seed=0)
+        tuner = self._tuner_with_used_arm(small_catalog, fault_injector=injector)
+        [outcome] = tuner.run([_eq_query(7)], on_error="raise")
+        assert not outcome.failed
+        assert outcome.whatif_calls == 0
+        assert tuner.profiler.probe_failures == 1
 
 
 class TestInserts:

@@ -183,6 +183,35 @@ class TestDecisionParity:
             assert worker_report.latency["count"] == 100
 
 
+    def test_fleet_reports_count_whatif_calls(self):
+        stream = make_stream(events=100)
+
+        def serial_fleet():
+            return FleetCoordinator(
+                build_small_catalog,
+                n_replicas=2,
+                config=make_config(),
+                fleet_epoch_length=20,
+            )
+
+        reference = serial_fleet()
+        expected = sum(
+            reference.process_query(e.query, client_id=e.client_id).outcome.whatif_calls
+            for e in stream
+        )
+        assert expected > 0
+        assert replay_fleet(serial_fleet(), stream).whatif_calls == expected
+        with FleetCoordinator(
+            build_small_catalog,
+            config=make_config(),
+            fleet_epoch_length=20,
+            workers=2,
+        ) as fleet:
+            # Workers make the serial fleet's decisions, so their
+            # per-query what-if spend sums to the same total.
+            assert replay_fleet(fleet, stream).whatif_calls == expected
+
+
 class TestReportFile:
     def test_layout_and_speedups(self, tmp_path):
         stream = make_stream(events=60)

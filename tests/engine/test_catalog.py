@@ -83,6 +83,21 @@ class TestIndexes:
         assert index.name == "ix_t_a"
         assert index.dtype is DataType.INT
 
+    def test_single_column_composite_is_the_plain_index(self):
+        # Snapshot and advice codecs resolve every index through
+        # composite_index_for, one column or many.
+        from repro.workload import build_catalog
+
+        catalog = build_catalog()
+        refs = catalog.indexable_columns()
+        assert refs
+        for ref in refs:
+            plain = catalog.index_for(ref.table, ref.column)
+            composite = catalog.composite_index_for(ref.table, [ref.column])
+            assert composite == plain
+            assert hash(composite) == hash(plain)
+            assert composite.name == plain.name
+
     def test_materialize_and_drop(self):
         catalog = Catalog()
         catalog.add_table(_table())
