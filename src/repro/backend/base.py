@@ -259,11 +259,11 @@ class Backend:
 
         Two equal tokens assert the backend would price queries over the
         table identically; any stats-affecting mutation must change the
-        token.  The default combines the logical row count with the
-        catalog's monotonically bumped ``stats_version``.
+        token.  The default is the catalog's
+        :meth:`~repro.engine.catalog.Catalog.stats_token`: the logical
+        row count with the monotonically bumped ``stats_version``.
         """
-        tdef = self.catalog.table(table)
-        return (tdef.row_count, self.catalog.stats_version(table))
+        return self.catalog.stats_token(table)
 
     def refresh_stats(self, table: str) -> None:
         """Recompute (or mark changed) statistics for ``table``."""

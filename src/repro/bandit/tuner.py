@@ -42,7 +42,6 @@ from repro.bandit.config import BanditConfig
 from repro.bandit.features import FEATURE_DIM, FeatureMap
 from repro.bandit.linucb import RidgeModel
 from repro.core.candidates import CandidateTracker
-from repro.core.gaincache import GainCache
 from repro.core.knapsack import (
     KnapsackItem,
     SelectionConstraints,
@@ -57,9 +56,9 @@ from repro.executor.executor import execute
 from repro.executor.instrument import CountingStore
 from repro.guardrails.synthesis import synthesize_constraints
 from repro.guardrails.verify import observed_cost
-from repro.obs.names import BANDIT_METRICS, RESILIENCE_METRICS
+from repro.obs.names import BANDIT_METRICS, GAINCACHE_METRICS, RESILIENCE_METRICS
 from repro.obs.registry import MetricsRegistry
-from repro.optimizer.whatif import WhatIfOptimizer, WhatIfProbeError, WhatIfSession
+from repro.optimizer.whatif import WhatIfProbeError, WhatIfSession
 from repro.resilience.breaker import CircuitBreaker
 from repro.sql.ast import Query
 
@@ -77,17 +76,16 @@ class BanditProfile:
     Fleet replicas, fault injectors, and snapshots reach component
     state through ``tuner.profiler.<attr>``; this shim carries the
     attributes that contract names -- a live circuit breaker (reward
-    probes run behind it), the candidate tracker, and a disabled gain
-    cache whose metric families still register so the observability
-    contract holds for the bandit engine too.  What-if budgeting is
-    inert: the bandit spends a fixed observation budget per round, not
-    COLT's adaptive ``#WI_lim``.
+    probes run behind it) and the candidate tracker.  The bandit has no
+    gain cache, but the ``gaincache_*`` families are registered so the
+    observability contract holds for the bandit engine too.  What-if
+    budgeting is inert: the bandit spends a fixed observation budget per
+    round, not COLT's adaptive ``#WI_lim``.
     """
 
     def __init__(
         self,
         catalog: Catalog,
-        whatif: WhatIfOptimizer,
         config: BanditConfig,
         breaker: Optional[CircuitBreaker] = None,
         registry: Optional[MetricsRegistry] = None,
@@ -100,13 +98,8 @@ class BanditProfile:
         self.breaker.add_listener(
             lambda origin, to: transitions.inc(1, from_state=origin, to_state=to)
         )
-        self.gain_cache = GainCache(
-            catalog,
-            whatif,
-            enabled=False,
-            ttl_epochs=config.history_epochs,
-            registry=self.registry,
-        )
+        for spec in GAINCACHE_METRICS.values():
+            spec.build(self.registry)
         self.candidates = CandidateTracker(
             catalog,
             config.history_epochs,
@@ -140,7 +133,7 @@ class BanditTuner(TunerShell):
 
     def _build_engine(self, breaker: Optional[CircuitBreaker]) -> None:
         self.profiler = BanditProfile(
-            self.catalog, self.whatif, self.config, breaker=breaker, registry=self.registry
+            self.catalog, self.config, breaker=breaker, registry=self.registry
         )
         self._counting = CountingStore(self._store) if self._store is not None else None
         self.model = RidgeModel(
@@ -305,7 +298,6 @@ class BanditTuner(TunerShell):
         # 3. Roll workload state into the next round.
         self.profiler.candidates.roll_epoch(epoch_length)
         self.features.roll_epoch(epoch_length)
-        self.profiler.gain_cache.roll_epoch()
         self._epoch_rewards = {}
         self._epoch_uses = {}
         self._epoch_observed_cost = 0.0

@@ -213,10 +213,10 @@ def build_replay_tuner(
 
     With ``batched=True`` the backend is wrapped in a
     :class:`BatchedPricer` (decision-preserving; see
-    ``repro/core/batching.py``) and the candidate tracker's mining +
-    crude-benefit computation is memoized through the same signature
-    interner (also decision-preserving; see
-    :meth:`~repro.core.candidates.CandidateTracker.use_interner`).
+    ``repro/core/batching.py``) and the profiler's crude-benefit memo
+    and gain cache key queries through the same signature interner
+    (also decision-preserving; see
+    :meth:`~repro.core.profiler.Profiler.use_interner`).
     The tuner's own registry is disabled -- the driver measures with
     its own registry -- so both modes pay identical instrumentation
     costs.
@@ -231,7 +231,7 @@ def build_replay_tuner(
         registry=MetricsRegistry(enabled=False),
     )
     if batched:
-        tuner.profiler.candidates.use_interner(backend.interner)
+        tuner.profiler.use_interner(backend.interner)
     return tuner
 
 
@@ -262,11 +262,11 @@ def replay_serial(
     Args:
         tuner: The tuner under test (build with :func:`build_replay_tuner`).
         stream: The event stream.
-        batch_size: When given, the stream is fed chunk-at-a-time: the
-            gain cache is primed per chunk and the backend's
-            ``begin_queries`` warms the batched pricer's memo before
-            the per-query loop (the ``batched`` mode).  None processes
-            strictly one query at a time (the ``serial`` baseline).
+        batch_size: When given, the stream is fed chunk-at-a-time:
+            the backend's ``begin_queries`` warms the batched pricer's
+            memo before the per-query loop (the ``batched`` mode).
+            None processes strictly one query at a time (the
+            ``serial`` baseline).
         registry: Registry for the driver's ``replay_*`` families;
             fresh when omitted.
         on_error: ``"raise"`` or ``"skip"`` (forwarded to the tuner).
@@ -278,16 +278,13 @@ def replay_serial(
     whatif_calls = 0
     failed = 0
     events = 0
-    gain_cache = tuner.profiler.gain_cache
     backend = tuner.whatif.backend
     batched = batch_size is not None
 
     started = perf()
     if batched:
         for chunk in stream.chunks(batch_size):
-            queries = [e.query for e in chunk]
-            gain_cache.prime_batch(queries)
-            backend.begin_queries(queries)
+            backend.begin_queries([e.query for e in chunk])
             m_batches.inc()
             for event in chunk:
                 t0 = perf()
@@ -313,7 +310,7 @@ def replay_serial(
     if isinstance(backend, BatchedPricer):
         detail["memo_hits"] = backend.hits
         detail["memo_misses"] = backend.misses
-        detail["gaincache_hits"] = gain_cache.hits
+        detail["gaincache_hits"] = tuner.profiler.gain_cache.hits
     return ReplayReport(
         mode="batched" if batched else "serial",
         events=events,

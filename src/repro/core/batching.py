@@ -12,13 +12,12 @@ decision**:
   hit) and interns equal signatures to one tuple object.
 * :func:`bind_batch` binds a batch against the catalog with
   signature-keyed reuse: structurally identical queries share one bound
-  copy, so downstream identity-keyed memos (the interner, the gain
-  cache's batch priming) hit for free.
+  copy, so the interner's identity-keyed fast path hits for free.
 * :class:`BatchedPricer` wraps any :class:`~repro.backend.base.Backend`
   and memoizes :meth:`~repro.backend.base.Backend.begin_query` -- the
-  dominant per-query optimizer invocation -- under the same
-  self-validating key discipline as the gain cache (PR 4): query
-  structural signature, relevant-configuration signature, and per-table
+  dominant per-query optimizer invocation -- under the key rule of
+  :mod:`repro.core.memo` that the gain cache shares: query structural
+  signature, relevant-configuration signature, and per-table
   statistics tokens.  A hit can only serve a result the backend would
   recompute identically (the optimizer is deterministic in those three
   inputs), which is what lets the differential and property tests
@@ -33,11 +32,11 @@ sampling order), budget accounting, or ``WhatIfOptimizer.call_count``
 
 from __future__ import annotations
 
-import collections
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.backend.base import Backend, WhatIfSession
 from repro.core.gaincache import query_signature
+from repro.core.memo import DEFAULT_MAX_ENTRIES, LruMemo, stats_tokens
 from repro.engine.catalog import Catalog
 from repro.optimizer.access import IndexConfig
 from repro.optimizer.optimizer import OptimizationResult, PlanCache
@@ -122,10 +121,8 @@ def bind_batch(
     Equivalent to ``[bind_query(q, catalog) for q in queries]`` (the
     binder is a pure function of query structure and catalog), except
     that structurally identical queries share one bound object.  Sharing
-    is deliberate: every identity-keyed memo downstream -- the
-    interner's fast path, :meth:`GainCache.prime_batch
-    <repro.core.gaincache.GainCache.prime_batch>` -- then hits without
-    recomputing anything.
+    is deliberate: the interner's identity-keyed fast path then hits
+    without recomputing anything.
 
     Raises:
         repro.sql.binder.BindError: exactly when the per-query loop
@@ -159,13 +156,18 @@ class BatchedPricer(Backend):
         inner: The real backend answering optimizer requests.
         interner: Shared signature interner (one per stream); a private
             one is created when omitted.
-        max_entries: Memo capacity; least-recently-used entries are
+        max_entries: Memo capacity; least-recently-used keys are
             evicted beyond it.
 
-    The memo key is ``(query signature, relevant-config signature,
-    per-table stats tokens)`` -- recomputed at every lookup, so a
-    materialization change or statistics bump can never serve a stale
-    base result; at worst it misses.  On a hit the stored
+    The memo follows the :mod:`repro.core.memo` key rule: ``(interned
+    signature index, relevant-config signature, per-table stats
+    tokens)``, rebuilt at every lookup, so a materialization change or
+    statistics bump can never serve a stale base result; at worst it
+    misses.  Backends with a :meth:`~repro.backend.base.Backend.
+    config_token` also store each entry under the coarser exact key
+    ``(signature index, config token)``: while *nothing* the optimizer
+    sees has changed, that key hits without building the fine one.
+    Both keys count against ``max_entries``.  On a hit the stored
     :class:`~repro.optimizer.optimizer.OptimizationResult` and the
     *warmed* per-query :class:`~repro.optimizer.optimizer.PlanCache`
     are reused, so the session's subsequent what-if probes also start
@@ -177,29 +179,14 @@ class BatchedPricer(Backend):
         self,
         inner: Backend,
         interner: Optional[SignatureInterner] = None,
-        max_entries: int = 4096,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
     ) -> None:
         self.inner = inner
         self.interner = interner if interner is not None else SignatureInterner()
-        self.max_entries = max(1, max_entries)
-        self._memo: "collections.OrderedDict[Tuple, _MemoEntry]" = (
-            collections.OrderedDict()
-        )
+        self._memo = LruMemo(max_entries)
         # (config_token, current_config): one config recompute per
-        # backend state change instead of one per lookup.
+        # backend state change instead of one per fine-key build.
         self._config_cache: Optional[Tuple[tuple, IndexConfig]] = None
-        # sig index -> (config_token, csig): the relevant-config
-        # signature only changes when the backend's state does, so an
-        # unchanged token revalidates the cached frozenset with one
-        # int-keyed probe.
-        self._csig_cache: Dict[int, Tuple[tuple, frozenset]] = {}
-        # sig index -> (config_token, entry): the O(1) whole-session
-        # shortcut -- when *nothing* the optimizer sees has changed,
-        # the previously served entry is still exact and even the memo
-        # key build is skipped.  Keyed by signature index (never
-        # reused, see SignatureInterner), so a cleared interner can
-        # only cause misses, never aliasing.
-        self._fast: Dict[int, Tuple[tuple, _MemoEntry]] = {}
         self.hits = 0
         self.misses = 0
         self._m_hits = None
@@ -263,82 +250,50 @@ class BatchedPricer(Backend):
         ].build(registry)
 
     # -- the memoized hot path -----------------------------------------
-    def _memo_key(self, query: Query) -> Tuple:
-        sig, index = self.interner.signature_index(query)
-        return self._key_for(query, sig, index, self.inner.config_token())
-
-    def _key_for(
-        self, query: Query, sig: Tuple, index: int, token: Optional[tuple]
+    def _fine_key(
+        self, query: Query, index: int, token: Optional[tuple]
     ) -> Tuple:
-        # The key stays fine-grained -- (signature, relevant-config
-        # signature, per-table stats tokens) -- so a global config
-        # change that cannot affect this query still hits.  What the
-        # backend's config_token buys is making the key *cheap* to
-        # build: the current config is recomputed once per state change
-        # (not once per lookup), the relevant-config frozenset is
-        # revalidated per signature with one int-keyed probe, and the
-        # signature's small interned index stands in for the large
-        # hash-uncached signature tuple.  Backends without a token
-        # (config_token() is None) recompute everything every time,
-        # which is the original, always-safe behavior; the two key
-        # shapes cannot collide (tuple- vs int-leading).
+        # Query-specific, so a config change that cannot affect this
+        # query still hits.  With a token, the current config is
+        # recomputed once per backend state change, not per lookup.
         if token is None:
             config = self.inner.current_config()
-            relevant = self.inner.relevant_config(query, config)
-            csig = frozenset((ix.table, ix.columns) for ix in relevant)
-            tokens = tuple(
-                (t, self.inner.stats_token(t)) for t in query.tables
-            )
-            return sig, csig, tokens
-        cached = self._csig_cache.get(index)
-        if cached is not None and cached[0] == token:
-            csig = cached[1]
         else:
-            cfg = self._config_cache
-            if cfg is None or cfg[0] != token:
-                cfg = (token, self.inner.current_config())
-                self._config_cache = cfg
-            relevant = self.inner.relevant_config(query, cfg[1])
-            csig = frozenset((ix.table, ix.columns) for ix in relevant)
-            self._csig_cache[index] = (token, csig)
-        tokens = tuple(
-            (t, self.inner.stats_token(t)) for t in query.tables
-        )
-        return index, csig, tokens
+            cached = self._config_cache
+            if cached is None or cached[0] != token:
+                cached = (token, self.inner.current_config())
+                self._config_cache = cached
+            config = cached[1]
+        relevant = self.inner.relevant_config(query, config)
+        csig = frozenset((ix.table, ix.columns) for ix in relevant)
+        return index, csig, stats_tokens(self.inner.stats_token, query.tables)
 
     def begin_query(self, query: Query) -> WhatIfSession:
         """Open a what-if session, serving the base result from the memo
-        when the (signature, config, stats) key proves it identical."""
-        sig, index = self.interner.signature_index(query)
+        when an exact key proves it identical."""
+        index = self.interner.signature_index(query)[1]
         token = self.inner.config_token()
-        if token is not None:
-            cached = self._fast.get(index)
-            if cached is not None and cached[0] == token:
-                self.hits += 1
-                if self._m_hits is not None:
-                    self._m_hits.inc()
-                entry = cached[1]
-                return WhatIfSession(
-                    query=query, base=entry.base, cache=entry.cache
-                )
-        key = self._key_for(query, sig, index, token)
-        entry = self._memo.get(key)
-        if entry is not None:
-            self._memo.move_to_end(key)
+        coarse = None if token is None else (index, token)
+        entry = None if coarse is None else self._memo.get(coarse)
+        hit = entry is not None
+        if not hit:
+            key = self._fine_key(query, index, token)
+            entry = self._memo.get(key)
+            hit = entry is not None
+            if not hit:
+                session = self.inner.begin_query(query)
+                entry = _MemoEntry(session.base, session.cache)
+                self._memo.put(key, entry)
+            if coarse is not None:
+                self._memo.put(coarse, entry)
+        if hit:
             self.hits += 1
             if self._m_hits is not None:
                 self._m_hits.inc()
         else:
-            session = self.inner.begin_query(query)
             self.misses += 1
             if self._m_misses is not None:
                 self._m_misses.inc()
-            if len(self._memo) >= self.max_entries:
-                self._memo.popitem(last=False)
-            entry = _MemoEntry(session.base, session.cache)
-            self._memo[key] = entry
-        if token is not None:
-            self._fast[index] = (token, entry)
         return WhatIfSession(query=query, base=entry.base, cache=entry.cache)
 
     def begin_queries(self, queries: Iterable[Query]) -> List[WhatIfSession]:
@@ -349,10 +304,3 @@ class BatchedPricer(Backend):
         that follows runs entirely on hits.
         """
         return [self.begin_query(q) for q in queries]
-
-    def clear(self) -> None:
-        """Drop every memo entry (stream boundary / tests)."""
-        self._memo.clear()
-        self._config_cache = None
-        self._csig_cache.clear()
-        self._fast.clear()

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.core.memo import LruMemo, stats_tokens
 from repro.engine.catalog import Catalog
 from repro.engine.index import IndexDef
 from repro.optimizer.access import crude_index_delta_cost
@@ -83,26 +84,10 @@ class CandidateTracker:
         self._smoothing = smoothing
         self._composite = composite
         self._stats: Dict[Tuple[str, Tuple[str, ...]], CandidateStats] = {}
-        self._interner = None
-        # sig index -> (per-table stats versions, [(index, crude)]):
-        # see use_interner.
-        self._crude_memo: Dict[int, Tuple[Tuple, List[Tuple[IndexDef, float]]]] = {}
-
-    def use_interner(self, interner) -> None:
-        """Memoize mining + crude costs through a signature interner.
-
-        Mining and ``crude_index_delta_cost`` are pure functions of the
-        query's structure (literals included in the signature) and the
-        catalog's statistics, so their results are cached per signature
-        and revalidated against the per-table stats versions of the
-        query's tables -- the exact inputs the crude formulas read.
-        The ``u`` indicator (plan actually used the index) is applied
-        *outside* the memo, so credited gains are bit-identical to the
-        unmemoized loop.  Used by the batched replay driver; plain
-        tuners keep the original per-query computation.
-        """
-        self._interner = interner
-        self._crude_memo.clear()
+        #: Optional signature interner; while set, mining + crude costs
+        #: are memoized (see :meth:`_mined_with_crude`).
+        self.interner = None
+        self._crude_memo = LruMemo()
 
     def __len__(self) -> int:
         return len(self._stats)
@@ -153,28 +138,24 @@ class CandidateTracker:
     def _mined_with_crude(self, query: Query) -> List[Tuple[IndexDef, float]]:
         """``(candidate, crude delta cost)`` pairs for one query.
 
-        With an interner attached (see :meth:`use_interner`) the pairs
-        are served from a signature-keyed memo validated against the
-        stats versions of the query's tables; otherwise they are
-        computed fresh, exactly as before.
+        Mining and ``crude_index_delta_cost`` are pure functions of the
+        query's structure and the catalog's statistics.  With an
+        interner attached the pairs are memoized under the
+        :mod:`repro.core.memo` key rule: (interned signature index,
+        catalog statistics token of each of the query's tables), the
+        exact inputs the crude formulas read.  The ``u`` indicator is
+        applied by the caller, *outside* the memo, so credited gains
+        are bit-identical to the unmemoized loop.
         """
-        if self._interner is None:
-            return [
-                (
-                    index,
-                    crude_index_delta_cost(
-                        self._catalog, index, query.filters_on(index.table)
-                    ),
-                )
-                for index in self._mined_indexes(query)
-            ]
-        _, sig_index = self._interner.signature_index(query)
-        versions = tuple(
-            self._catalog.stats_version(t) for t in query.tables
-        )
-        cached = self._crude_memo.get(sig_index)
-        if cached is not None and cached[0] == versions:
-            return cached[1]
+        key = None
+        if self.interner is not None:
+            key = (
+                self.interner.signature_index(query)[1],
+                stats_tokens(self._catalog.stats_token, query.tables),
+            )
+            pairs = self._crude_memo.get(key)
+            if pairs is not None:
+                return pairs
         pairs = [
             (
                 index,
@@ -184,7 +165,8 @@ class CandidateTracker:
             )
             for index in self._mined_indexes(query)
         ]
-        self._crude_memo[sig_index] = (versions, pairs)
+        if key is not None:
+            self._crude_memo.put(key, pairs)
         return pairs
 
     def _mined_indexes(self, query: Query) -> List[IndexDef]:

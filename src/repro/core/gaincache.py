@@ -22,46 +22,28 @@ cache-off runs.  Two hit kinds qualify:
   Every query in a cluster shares its referenced-column set (the
   cluster key is built from exactly these columns), so this rule is the
   cluster-level zero-gain memo the clustering of §4.1 promises.
-* **exact** -- a previous probe stored a gain under the same (query
-  structural signature including literals, relevant-config signature,
-  index) key, and the per-table statistics tokens recorded with the
-  entry still match the catalog.  The optimizer is deterministic, so
-  the replayed gain is the probe's.
+* **exact** -- a previous probe stored a gain under the same key:
+  (query structural signature including literals, relevant-config
+  signature, per-table statistics tokens, index).  The optimizer is
+  deterministic in those inputs, so the replayed gain is the probe's.
+
+The key follows the one validity rule of :mod:`repro.core.memo`: a
+materialization change alters the relevant-config signature and every
+stats-affecting catalog mutation alters the table's token, so a stale
+gain can never match; entries leave only when the bounded LRU is full.
 
 Budget semantics: a hit still consumes one ``#WI_lim`` unit in the
 Profiler (so sampling decisions -- and therefore the collected gain
 samples -- are identical with the cache on or off), but it is *free* on
 the ledger: no what-if call is issued, no ``whatif_call_cost`` is
 charged.  See ``docs/PERFORMANCE.md``.
-
-Invalidation (a stale gain would silently corrupt ``NetBenefit``):
-
-* **materialization changes** -- entries whose query references the
-  changed index's lead column are dropped (the Scheduler reports every
-  build/drop, including idle-time and retried builds, through its
-  ``on_change`` hook).  Lookups are additionally self-validating: the
-  relevant-config signature is recomputed per query, so a changed
-  configuration can never alias a stored key.
-* **stats refresh** -- entries carry per-table ``(row_count,
-  stats_version)`` tokens, validated on every hit.  Every
-  stats-affecting catalog mutation bumps the version
-  (:meth:`~repro.engine.catalog.Catalog.set_stats`,
-  :meth:`~repro.engine.catalog.Catalog.apply_row_delta`,
-  :meth:`~repro.engine.catalog.Catalog.set_row_count`), so even a
-  delete-then-insert that restores the original row count changes the
-  token; ``process_insert`` additionally invalidates the written table
-  eagerly.
-* **epoch reorganization** -- :meth:`GainCache.roll_epoch` ages entries
-  out after ``ttl_epochs`` epochs without a hit.
-* **fleet rebalance** -- the coordinator clears each replica's cache
-  when sticky assignments move between replicas.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
-from repro.engine.catalog import Catalog
+from repro.core.memo import DEFAULT_MAX_ENTRIES, LruMemo, stats_tokens
 from repro.engine.index import IndexDef
 from repro.obs.names import GAINCACHE_METRICS
 from repro.obs.registry import NULL_REGISTRY, MetricsRegistry
@@ -71,20 +53,6 @@ from repro.sql.ast import (
     InPredicate,
     Query,
 )
-
-# Composite-safe index identity: table plus ordered key columns.
-IndexKey = Tuple[str, Tuple[str, ...]]
-
-#: Per-table statistics token: (row_count, stats_version) for the local
-#: backend, opaque for remote ones.  Every stats-affecting mutation --
-#: row-count deltas (cost-model inserts/deletes) and ``set_stats``
-#: (ANALYZE) -- bumps the version, so entries recorded under old
-#: statistics can never validate, even when the row count round-trips.
-StatsToken = Tuple
-
-
-def _index_key(index: IndexDef) -> IndexKey:
-    return index.table, index.columns
 
 
 def _literal(value: object) -> Tuple[str, object]:
@@ -148,86 +116,52 @@ def referenced_columns(query: Query) -> FrozenSet[Tuple[str, str]]:
     )
 
 
-class _Entry:
-    """One stored probe result."""
-
-    __slots__ = ("gain", "tokens", "referenced", "last_used_epoch")
-
-    def __init__(
-        self,
-        gain: float,
-        tokens: Tuple[Tuple[str, StatsToken], ...],
-        referenced: FrozenSet[Tuple[str, str]],
-        epoch: int,
-    ) -> None:
-        self.gain = gain
-        self.tokens = tokens
-        self.referenced = referenced
-        self.last_used_epoch = epoch
-
-
 class GainCacheContext:
-    """Per-query view of the cache (signatures computed once per query).
+    """Per-query view of the cache (key parts computed once per query).
 
     Obtained from :meth:`GainCache.begin_query`; the Profiler calls
     :meth:`lookup` before each probe it is about to pay for and
     :meth:`store` after each probe it did pay for.
     """
 
-    __slots__ = ("_cache", "_query", "referenced", "_qsig", "_csig", "_tokens")
+    __slots__ = ("_cache", "_query", "_referenced", "_prefix")
 
     def __init__(self, cache: "GainCache", query: Query) -> None:
         self._cache = cache
         self._query = query
-        self._qsig: Optional[Tuple] = None
-        self._csig: Optional[FrozenSet[IndexKey]] = None
-        self._tokens: Optional[Tuple[Tuple[str, StatsToken], ...]] = None
-        # Batch priming (see GainCache.prime_batch): when the replay
-        # driver announced this exact query object, its signature and
-        # referenced-column set were computed once for the whole batch.
-        # The identity check guards against id() reuse across batches.
-        primed = cache._primed.get(id(query))
-        if primed is not None and primed[0] is query:
-            self._qsig = primed[1]
-            self.referenced = primed[2]
-        else:
-            self.referenced = referenced_columns(query)
+        self._referenced: Optional[FrozenSet[Tuple[str, str]]] = None
+        self._prefix: Optional[Tuple] = None
 
-    # -- lazily computed key parts -------------------------------------
     def _key(self, index: IndexDef) -> Tuple:
-        if self._qsig is None:
-            self._qsig = query_signature(self._query)
-        if self._csig is None:
-            self._csig = self._cache.config_signature(self._query)
-        return self._qsig, self._csig, _index_key(index)
-
-    def tokens(self) -> Tuple[Tuple[str, StatsToken], ...]:
-        """Current statistics tokens for the query's tables."""
-        if self._tokens is None:
-            self._tokens = tuple(
-                (t, self._cache.stats_token(t)) for t in self._query.tables
+        if self._prefix is None:
+            query = self._query
+            whatif = self._cache._whatif
+            self._prefix = (
+                self._cache._signature(query),
+                whatif.relevant_signature(query),
+                stats_tokens(whatif.backend.stats_token, query.tables),
             )
-        return self._tokens
+        return self._prefix + ((index.table, index.columns),)
 
-    # -- cache operations ----------------------------------------------
     def lookup(self, index: IndexDef) -> Optional[float]:
         """The exact gain a probe of ``index`` would return, if knowable.
 
         Returns None on a miss (the caller must probe for real).
         """
         cache = self._cache
-        if (index.table, index.column) not in self.referenced:
+        if self._referenced is None:
+            self._referenced = referenced_columns(self._query)
+        if (index.table, index.column) not in self._referenced:
             # Structural zero: the optimizer strips this index from the
             # relevant configuration, so the probe's two costs coincide.
             cache.hits_structural += 1
             cache._m_hits.inc(1, kind="structural")
             return 0.0
-        entry = cache._entries.get(self._key(index))
-        if entry is not None and entry.tokens == self.tokens():
-            entry.last_used_epoch = cache._epoch
+        gain = cache._memo.get(self._key(index))
+        if gain is not None:
             cache.hits_exact += 1
             cache._m_hits.inc(1, kind="exact")
-            return entry.gain
+            return gain
         cache.misses += 1
         cache._m_misses.inc()
         return None
@@ -235,55 +169,47 @@ class GainCacheContext:
     def store(self, index: IndexDef, gain: float) -> None:
         """Record a real probe's result for future exact-key hits."""
         cache = self._cache
-        if len(cache._entries) >= cache.max_entries:
-            cache._evict_oldest()
-        cache._entries[self._key(index)] = _Entry(
-            gain, self.tokens(), self.referenced, cache._epoch
-        )
+        if cache._memo.put(self._key(index), gain):
+            cache.invalidations += 1
+            cache._m_invalidations.inc(1, reason="capacity")
         cache.stores += 1
         cache._m_stores.inc()
-        cache._sync_gauge()
+        cache._m_entries.set(len(cache._memo))
 
 
 class GainCache:
     """Cluster-level cross-query what-if gain cache.
 
     Args:
-        catalog: Source of per-table statistics tokens.
-        whatif: The what-if optimizer, used for relevant-configuration
-            signatures (its underlying optimizer defines relevance).
+        whatif: The what-if optimizer; its backend supplies the
+            relevant-config signatures and statistics tokens of keys.
         enabled: Master switch (``ColtConfig.gain_cache``); when False
-            the Profiler never consults the cache, but the metric
-            families are still registered so the observability contract
-            holds in either mode.
-        ttl_epochs: Epochs an entry may go unused before
-            :meth:`roll_epoch` drops it.
-        max_entries: Hard size cap; the least-recently-used entries are
-            evicted on overflow.
+            the Profiler never consults the cache.
+        max_entries: LRU capacity; the least-recently-used entry is
+            evicted on overflow (the only way an entry leaves).
         registry: Metrics registry for the ``gaincache_*`` families.
 
     Attributes:
+        interner: Optional :class:`~repro.core.batching.SignatureInterner`;
+            when set, keys use its dense signature index instead of the
+            full signature tuple (see :meth:`Profiler.use_interner
+            <repro.core.profiler.Profiler.use_interner>`).
         hits_structural / hits_exact / misses / stores: Plain counters
             mirroring the metric families, for tests and reports.
+        invalidations: Entries evicted for capacity.
     """
 
     def __init__(
         self,
-        catalog: Catalog,
         whatif,
         enabled: bool = False,
-        ttl_epochs: int = 12,
-        max_entries: int = 4096,
+        max_entries: int = DEFAULT_MAX_ENTRIES,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        self._catalog = catalog
         self._whatif = whatif
         self.enabled = enabled
-        self.ttl_epochs = max(1, ttl_epochs)
-        self.max_entries = max(1, max_entries)
-        self._entries: Dict[Tuple, _Entry] = {}
-        self._primed: Dict[int, Tuple[Query, Tuple, FrozenSet]] = {}
-        self._epoch = 0
+        self.interner = None
+        self._memo = LruMemo(max_entries)
         self.hits_structural = 0
         self.hits_exact = 0
         self.misses = 0
@@ -298,141 +224,20 @@ class GainCache:
         ].build(reg)
         self._m_entries = GAINCACHE_METRICS["gaincache_entries"].build(reg)
 
-    # ------------------------------------------------------------------
     @property
     def hits(self) -> int:
         """Total gains served from the cache (both hit kinds)."""
         return self.hits_structural + self.hits_exact
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._memo)
 
     def begin_query(self, query: Query) -> GainCacheContext:
-        """Open a per-query cache view (signatures computed lazily, once)."""
+        """Open a per-query cache view (key parts computed lazily, once)."""
         return GainCacheContext(self, query)
 
-    def prime_batch(self, queries: Iterable[Query]) -> int:
-        """Precompute signature work for a whole batch of queries.
-
-        The replay driver's batched mode calls this once per chunk so
-        the per-query contexts opened inside the chunk skip their
-        ``query_signature`` / ``referenced_columns`` computation --
-        duplicated query objects (the common case in a replayed stream,
-        and guaranteed by :func:`~repro.core.batching.bind_batch`'s
-        sharing) are computed exactly once.  Purely a precomputation:
-        lookups, stores and invalidation behave bit-identically with or
-        without priming.
-
-        Returns:
-            The number of distinct query objects primed.
-        """
-        primed: Dict[int, Tuple[Query, Tuple, FrozenSet]] = {}
-        for query in queries:
-            key = id(query)
-            if key not in primed:
-                primed[key] = (
-                    query,
-                    query_signature(query),
-                    referenced_columns(query),
-                )
-        self._primed = primed
-        return len(primed)
-
-    # ------------------------------------------------------------------
-    # Signature plumbing
-    # ------------------------------------------------------------------
-    def config_signature(self, query: Query) -> FrozenSet[IndexKey]:
-        """The relevant-config signature for a query (see whatif.py)."""
-        return self._whatif.relevant_signature(query)
-
-    def stats_token(self, table: str) -> StatsToken:
-        """The backend's current statistics token for a table.
-
-        Delegates to the what-if backend when it carries one (remote
-        backends own their statistics); otherwise combines the
-        catalog's row count with its monotone ``stats_version``, which
-        every stats-affecting mutation bumps (``set_stats``,
-        ``apply_row_delta``, ``set_row_count``) -- so a delete-then-
-        insert restoring the old row count still changes the token.
-        """
-        backend = getattr(self._whatif, "backend", None)
-        if backend is not None:
-            return backend.stats_token(table)
-        tdef = self._catalog.table(table)
-        return tdef.row_count, self._catalog.stats_version(table)
-
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-    def invalidate_indexes(
-        self, indexes: Iterable[IndexDef], reason: str = "materialization"
-    ) -> int:
-        """Drop entries a materialization change could have affected.
-
-        An entry's gain can only change when the availability of an
-        index on one of its query's referenced columns changes -- the
-        §4.1 consistency rule, the same one ``Profiler.purge_stale``
-        applies to pair statistics.
-
-        Returns:
-            The number of entries dropped.
-        """
-        changed = {(ix.table, ix.column) for ix in indexes}
-        if not changed:
-            return 0
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if changed & entry.referenced
-        ]
-        return self._drop(stale, reason)
-
-    def invalidate_table(self, table: str, reason: str = "stats") -> int:
-        """Drop entries whose query touches a table (stats refresh)."""
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if any(t == table for t, _tok in entry.tokens)
-        ]
-        return self._drop(stale, reason)
-
-    def clear(self, reason: str = "manual") -> int:
-        """Drop every entry (fleet rebalance, snapshot restore)."""
-        return self._drop(list(self._entries), reason)
-
-    def roll_epoch(self) -> int:
-        """Advance the epoch clock and age out unused entries.
-
-        Called at every epoch boundary (the Profiler's epoch roll-over);
-        entries that have not produced a hit for ``ttl_epochs`` epochs
-        are dropped so reorganization-era gains cannot linger forever.
-        """
-        self._epoch += 1
-        horizon = self._epoch - self.ttl_epochs
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if entry.last_used_epoch < horizon
-        ]
-        return self._drop(stale, "epoch")
-
-    # ------------------------------------------------------------------
-    def _drop(self, keys: List[Tuple], reason: str) -> int:
-        for key in keys:
-            del self._entries[key]
-        if keys:
-            self.invalidations += len(keys)
-            self._m_invalidations.inc(len(keys), reason=reason)
-            self._sync_gauge()
-        return len(keys)
-
-    def _evict_oldest(self) -> None:
-        oldest = min(
-            self._entries, key=lambda k: self._entries[k].last_used_epoch
-        )
-        del self._entries[oldest]
-        self.invalidations += 1
-        self._m_invalidations.inc(1, reason="capacity")
-
-    def _sync_gauge(self) -> None:
-        self._m_entries.set(len(self._entries))
+    def _signature(self, query: Query):
+        """The query part of a key: interned index, else full signature."""
+        if self.interner is None:
+            return query_signature(query)
+        return self.interner.signature_index(query)[1]

@@ -134,11 +134,7 @@ class Profiler:
         # Cross-query gain cache (collectors registered even when
         # disabled, so the metrics contract holds in either mode).
         self.gain_cache = GainCache(
-            catalog,
-            whatif,
-            enabled=config.gain_cache,
-            ttl_epochs=config.history_epochs,
-            registry=self.registry,
+            whatif, enabled=config.gain_cache, registry=self.registry
         )
         self.clusters = ClusterStore(catalog, config.history_epochs)
         self.candidates = CandidateTracker(
@@ -326,9 +322,19 @@ class Profiler:
         self._epoch_exposure.clear()
         self.candidates.roll_epoch(w)
         self.clusters.roll_epoch()
-        self.gain_cache.roll_epoch()
         self.whatif_used = 0
         return report
+
+    def use_interner(self, interner) -> None:
+        """Key the crude-benefit memo and the gain cache by ``interner``.
+
+        Both memos then key each query by its dense interned signature
+        index, and the crude memo starts serving (without an interner
+        the tracker computes crude costs fresh for every query).  Used
+        by the batched replay driver; decisions are unchanged.
+        """
+        self.candidates.interner = interner
+        self.gain_cache.interner = interner
 
     def set_budget(self, budget: int) -> None:
         """Install the next epoch's what-if budget ``#WI_lim``."""

@@ -130,12 +130,6 @@ class Scheduler:
         self._policy = policy
         self._retry = retry or RetryPolicy()
         self.failpoint = failpoint
-        #: Invoked with the indexes whose materialization state changed
-        #: (built or dropped) whenever this scheduler changes it,
-        #: including idle-time and retried builds.  The tuner hangs
-        #: gain-cache invalidation here; observation only -- the hook
-        #: must not mutate tuning state.
-        self.on_change: Optional[Callable[[List[IndexDef]], None]] = None
         self._pending: List[IndexDef] = []
         self._epoch = 0
         self.total_build_cost = 0.0
@@ -179,7 +173,6 @@ class Scheduler:
         (the index stays unmaterialized).
         """
         charged = 0.0
-        built: List[IndexDef] = []
         for index in indexes:
             if self._catalog.is_materialized(index):
                 continue
@@ -188,13 +181,10 @@ class Scheduler:
                     charged += self._build(index)
                 except IndexBuildError as exc:
                     self._record_failure(index, exc)
-                else:
-                    built.append(index)
             else:
                 if index not in self._pending:
                     self._pending.append(index)
         self._sync_gauges()
-        self._notify_change(built)
         return charged
 
     def request_drop(self, indexes: Iterable[IndexDef]) -> None:
@@ -203,7 +193,6 @@ class Scheduler:
         Dropping also cancels any queued or backed-off retry for the
         index -- the Self-Organizer no longer wants it.
         """
-        dropped: List[IndexDef] = []
         for index in indexes:
             self._pending = [p for p in self._pending if p != index]
             self.retry_queue = [f for f in self.retry_queue if f.index != index]
@@ -211,9 +200,7 @@ class Scheduler:
                 self._store.drop_index(index)
             else:
                 self._catalog.drop_index(index)
-            dropped.append(index)
         self._sync_gauges()
-        self._notify_change(dropped)
 
     def on_idle(self, max_builds: Optional[int] = None) -> float:
         """Build queued indexes during idle time (idle policy only).
@@ -226,7 +213,6 @@ class Scheduler:
             The cost charged for the builds performed.
         """
         charged = 0.0
-        built: List[IndexDef] = []
         budget = len(self._pending) if max_builds is None else max_builds
         while self._pending and budget > 0:
             index = self._pending.pop(0)
@@ -234,11 +220,8 @@ class Scheduler:
                 charged += self._build(index)
             except IndexBuildError as exc:
                 self._record_failure(index, exc)
-            else:
-                built.append(index)
             budget -= 1
         self._sync_gauges()
-        self._notify_change(built)
         return charged
 
     def advance_epoch(self) -> RetryReport:
@@ -281,14 +264,9 @@ class Scheduler:
                 report.recovered.append(entry.index)
                 self._m_recovered.inc()
         self._sync_gauges()
-        self._notify_change(report.recovered)
         return report
 
     # ------------------------------------------------------------------
-    def _notify_change(self, changed: List[IndexDef]) -> None:
-        if changed and self.on_change is not None:
-            self.on_change(changed)
-
     def _sync_gauges(self) -> None:
         self._m_retry_depth.set(len(self.retry_queue))
         self._m_pending.set(len(self._pending))

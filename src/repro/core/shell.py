@@ -10,8 +10,8 @@ loop -- the construction wiring, ``run``/``process_query``/
 and an engine subclass supplies only the steps that differ:
 
 * ``_build_engine`` -- the engine's components, at least a ``profiler``
-  carrying the circuit breaker, candidate tracker and gain cache, plus
-  the ``materialized`` and ``hot`` sets;
+  carrying the circuit breaker and candidate tracker, plus the
+  ``materialized`` and ``hot`` sets;
 * ``_profile`` -- per-query observation *before* guardrail verification;
 * ``_observe`` -- per-query observation *after* it, returning the
   engine's own probe spend;
@@ -206,13 +206,6 @@ class TunerShell:
         self._build_engine(breaker)
         self.scheduler = Scheduler(
             catalog, store=store, policy=policy, retry=retry, registry=self.registry
-        )
-        # Any materialization change (builds, drops, idle-time builds,
-        # recovered retries) invalidates affected gain-cache entries.
-        self.scheduler.on_change = lambda changed: (
-            self.profiler.gain_cache.invalidate_indexes(
-                changed, reason="materialization"
-            )
         )
         if fault_injector is not None:
             fault_injector.attach(self)
@@ -479,11 +472,6 @@ class TunerShell:
         else:
             n = len(list(rows)) if rows is not None else int(count)
             self.catalog.apply_row_delta(table, n)
-        # The write changes costs on this table; cached what-if gains
-        # recorded under the old statistics would no longer validate
-        # anyway (stats-token mismatch), but dropping them eagerly
-        # keeps the cache small.
-        self.profiler.gain_cache.invalidate_table(table)
         self._note_insert(table, n)
 
         params = self.catalog.params

@@ -167,15 +167,19 @@ class Catalog:
     def stats_version(self, table: str) -> int:
         """Monotone counter bumped on every stats-affecting mutation.
 
-        Together with ``row_count`` this forms the staleness token the
-        gain cache validates on lookup: any statistics refresh changes
-        the token, so cached what-if gains recorded under old
-        statistics can never be replayed.  ``set_stats`` (ANALYZE),
-        :meth:`apply_row_delta` and :meth:`set_row_count` all bump it --
+        Together with ``row_count`` this forms :meth:`stats_token`:
+        any statistics refresh changes the token, so memo entries keyed
+        under old statistics can never match again.  ``set_stats``
+        (ANALYZE), :meth:`apply_row_delta` and :meth:`set_row_count` all
+        bump it --
         the version alone distinguishes a delete-then-insert that
         restores the original row count, which ``row_count`` cannot.
         """
         return self._stats_versions.get(table, 0)
+
+    def stats_token(self, table: str) -> Tuple[float, int]:
+        """``(row_count, stats_version)``: the table's statistics token."""
+        return self.table(table).row_count, self._stats_versions.get(table, 0)
 
     @property
     def generation(self) -> int:

@@ -660,17 +660,6 @@ class FleetCoordinator:
                         if r.replica_id not in unhealthy
                     ]
                 )
-            partition_moves = (
-                cotune_report.migrations + cotune_report.forced_moves
-                if cotune_report is not None
-                else 0
-            )
-            if moved or rebalanced or partition_moves:
-                # Moved affinity keys change which queries each replica
-                # profiles next; per-replica gain caches keyed on the
-                # old assignment mix are cleared rather than aged out.
-                for replica in self.replicas:
-                    replica.tuner.profiler.gain_cache.clear(reason="rebalance")
             self.router.roll_epoch()
             probe_budget = (
                 self.router.probe_budget

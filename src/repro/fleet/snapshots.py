@@ -178,7 +178,8 @@ def restore_fleet(
         probe_budget: Per-epoch probe budget for cost routing.
 
     Raises:
-        SnapshotError: on any missing/corrupt file or checksum mismatch.
+        SnapshotError: on any missing/corrupt file, checksum mismatch,
+            or malformed rollout or co-tuning section.
     """
     root = pathlib.Path(directory)
     manifest = load_manifest(root)
@@ -198,23 +199,26 @@ def restore_fleet(
             TunerReplica(int(entry["replica_id"]), catalog, tuner=tuner)
         )
     rollout = None
-    if "rollout" in manifest:
-        from repro.guardrails.rollout import RolloutController
-
-        rollout = RolloutController.from_snapshot(
-            manifest["rollout"], replicas[0].catalog
-        )
     routing_catalog = catalog_factory()
     cotune = None
-    if "cotune" in manifest:
-        from repro.fleet.cotune import CotuneController
+    try:
+        if "rollout" in manifest:
+            from repro.guardrails.rollout import RolloutController
 
-        # The partition assignment (and convergence state) persists in
-        # the manifest, so a restored fleet resumes co-tuning
-        # mid-convergence instead of re-deriving the partition map.
-        cotune = CotuneController.from_snapshot(
-            manifest["cotune"], routing_catalog
-        )
+            rollout = RolloutController.from_snapshot(
+                manifest["rollout"], replicas[0].catalog
+            )
+        if "cotune" in manifest:
+            from repro.fleet.cotune import CotuneController
+
+            # The partition assignment (and convergence state) persists
+            # in the manifest, so a restored fleet resumes co-tuning
+            # mid-convergence instead of re-deriving the partition map.
+            cotune = CotuneController.from_snapshot(
+                manifest["cotune"], routing_catalog
+            )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise SnapshotError(f"malformed fleet manifest: {exc!r}") from exc
     return FleetCoordinator.adopt(
         replicas,
         routing_catalog=routing_catalog,

@@ -6,11 +6,16 @@ epochs, drain/restore/rebalance, metrics) stays in the parent process,
 while every :class:`~repro.fleet.replica.TunerReplica` -- catalog,
 tuner, breaker, gain cache -- lives in its own worker process behind a
 ``multiprocessing.Pipe``.  The parent never holds tuner state, so the
-whole exchange is message passing over two channels:
+whole exchange is message passing over two channels.  Fleet
+reorganization needs nothing from a worker beyond its status: the
+replicas' memos self-validate (:mod:`repro.core.memo`), so a rebalance
+sends no command at all.
 
-* **downstream commands** -- per fleet epoch the parent routes the
-  chunk's arrivals (routing is outcome-independent: it depends only on
-  the query stream and the drain set, both parent-side), then ships
+* **downstream commands** -- per fleet epoch (chunks are cut at global
+  multiples of ``fleet_epoch_length`` arrivals, however the stream is
+  split across ``run`` calls) the parent routes the chunk's arrivals
+  (routing is outcome-independent: it depends only on the query stream
+  and the drain set, both parent-side), then ships
   each replica *its exact serial event sequence* -- ``process`` events
   for queries routed to it interleaved with ``tick`` events for the
   arrivals it sat out while drained.  Because per-replica decision
@@ -215,9 +220,6 @@ def _worker_main(
                 conn.send(("ok", outcomes, _status(replica)))
             elif op == "status":
                 conn.send(("ok", None, _status(replica)))
-            elif op == "clear_cache":
-                replica.tuner.profiler.gain_cache.clear(reason=command[1])
-                conn.send(("ok", None, _status(replica)))
             elif op == "probe":
                 # Read-only what-if pricing for co-tuning refinement;
                 # events reuse the batch encoding (interned keys, full
@@ -266,37 +268,14 @@ class WorkerCrash(RuntimeError):
     """A worker process died while the coordinator waited on it."""
 
 
-class _RemoteGainCache:
-    """Stand-in for ``replica.tuner.profiler.gain_cache`` in the parent."""
-
-    def __init__(self, handle: "WorkerHandle") -> None:
-        self._handle = handle
-
-    def clear(self, reason: str = "manual") -> None:
-        if not self._handle.crashed:
-            self._handle.request(("clear_cache", reason))
-
-
-class _RemoteProfiler:
-    def __init__(self, handle: "WorkerHandle") -> None:
-        self.gain_cache = _RemoteGainCache(handle)
-
-
-class _RemoteTuner:
-    """The thin slice of the tuner surface fleet reorganization touches."""
-
-    def __init__(self, handle: "WorkerHandle") -> None:
-        self.profiler = _RemoteProfiler(handle)
-
-
 class WorkerHandle:
     """Parent-side proxy for one replica living in a worker process.
 
     Duck-types the coordinator-facing surface of
     :class:`~repro.fleet.replica.TunerReplica` (``health``, ``breaker``,
-    ``stats``, ``materialized_names``, ``quarantined_names``,
-    ``tuner.profiler.gain_cache.clear``) from the worker's last reported
-    status, so the inherited reorganization logic runs unchanged.
+    ``stats``, ``materialized_names``, ``quarantined_names``) from the
+    worker's last reported status, so the inherited reorganization logic
+    runs unchanged.
 
     The ``breaker`` attribute is a real parent-side
     :class:`~repro.resilience.breaker.CircuitBreaker` that exists solely
@@ -314,7 +293,6 @@ class WorkerHandle:
         self.crashed = False
         self.crash_breaker = CircuitBreaker()
         self.stats = ReplicaStats()
-        self.tuner = _RemoteTuner(self)
         self._remote_state = BreakerState.CLOSED
         self._materialized: List[str] = []
         self._quarantined: List[str] = []
@@ -616,10 +594,14 @@ class WorkerFleetCoordinator(FleetCoordinator):
 
         Semantics match :meth:`FleetCoordinator.run` -- same routing,
         same fleet-epoch reorganizations, bit-identical per-replica
-        decisions -- with arrivals shipped to workers one fleet epoch
-        at a time.  Outcomes carry no plans (plans stay worker-side)
-        and, under ``on_error="skip"``, a crashed worker's
-        unacknowledged chunk queries come back as failed outcomes.
+        decisions, outcome indices counted across calls -- with
+        arrivals shipped to workers one fleet epoch at a time.  An
+        epoch closes after every ``fleet_epoch_length``-th arrival
+        since construction, so a stream split across several calls
+        reorganizes exactly where one call over it would.  Outcomes
+        carry no plans (plans stay worker-side) and, under
+        ``on_error="skip"``, a crashed worker's unacknowledged chunk
+        queries come back as failed outcomes.
         """
         if isinstance(workload, Workload):
             queries: Sequence[Query] = workload.queries
@@ -631,10 +613,15 @@ class WorkerFleetCoordinator(FleetCoordinator):
         outcomes: List[FleetOutcome] = []
         chunk: List[Tuple[int, Query, Optional[int]]] = []
         for i, query in enumerate(queries):
+            arrival = self.queries_routed + len(chunk)
             chunk.append(
-                (i, query, client_ids[i] if client_ids is not None else None)
+                (
+                    arrival,
+                    query,
+                    client_ids[i] if client_ids is not None else None,
+                )
             )
-            if len(chunk) == self.fleet_epoch_length:
+            if (arrival + 1) % self.fleet_epoch_length == 0:
                 outcomes.extend(self._run_chunk(chunk, on_error, full=True))
                 chunk = []
         if chunk:
@@ -755,8 +742,7 @@ class WorkerFleetCoordinator(FleetCoordinator):
         Refreshes each live worker's status first (batch replies
         piggyback status, so this is usually a no-op refresh), then runs
         the inherited drain/restore/rebalance logic against the handles'
-        duck-typed replica surface.  Gain-cache clears on reassignment
-        travel to the workers as ``clear_cache`` commands.
+        duck-typed replica surface.
         """
         for handle in self.replicas:
             if not handle.crashed:

@@ -116,7 +116,7 @@ GAINCACHE_METRICS = _catalog(
     MetricSpec(
         "gaincache_invalidations_total",
         "counter",
-        "Gain-cache entries invalidated.",
+        "Gain-cache entries evicted because the LRU was full.",
         labelnames=("reason",),
     ),
     MetricSpec("gaincache_entries", "gauge", "Entries currently held by the gain cache."),

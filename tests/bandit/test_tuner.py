@@ -251,4 +251,3 @@ class TestWiring:
             assert hasattr(tuner, attr), attr
         assert hasattr(tuner.profiler, "breaker")
         assert hasattr(tuner.profiler, "candidates")
-        assert hasattr(tuner.profiler, "gain_cache")

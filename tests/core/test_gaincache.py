@@ -2,8 +2,8 @@
 
 The differential harness (test_gaincache_differential.py) proves the
 end-to-end equivalence; these tests pin the mechanisms it relies on --
-the structural-zero rule, exact-key replay, every invalidation path,
-and the metrics contract.
+the structural-zero rule, exact-key replay, self-validating keys (no
+invalidation hook), LRU capacity eviction, and the metrics contract.
 """
 
 import random
@@ -40,7 +40,7 @@ def whatif(catalog):
 
 @pytest.fixture()
 def cache(catalog, whatif):
-    return GainCache(catalog, whatif, enabled=True, ttl_epochs=3)
+    return GainCache(whatif, enabled=True)
 
 
 ORDERS_SQL = "select * from orders_1 where o_custkey = 42"
@@ -207,29 +207,7 @@ class TestTruncateRefill:
 
 
 class TestInvalidation:
-    def _seed_entry(self, catalog, cache, sql=ORDERS_SQL, gain=5.0):
-        index = catalog.index_for("orders_1", "o_custkey")
-        ctx = cache.begin_query(_query(catalog, sql))
-        ctx.lookup(index)
-        ctx.store(index, gain)
-        return index
-
-    def test_invalidate_indexes_drops_referencing_entries(self, catalog, cache):
-        index = self._seed_entry(catalog, cache)
-        dropped = cache.invalidate_indexes([index])
-        assert dropped == 1
-        assert len(cache) == 0
-
-    def test_invalidate_indexes_spares_unrelated_entries(self, catalog, cache):
-        self._seed_entry(catalog, cache)
-        unrelated = catalog.index_for("part_1", "p_size")
-        assert cache.invalidate_indexes([unrelated]) == 0
-        assert len(cache) == 1
-
-    def test_invalidate_table_drops_entries_touching_it(self, catalog, cache):
-        self._seed_entry(catalog, cache)
-        assert cache.invalidate_table("orders_1") == 1
-        assert cache.invalidate_table("part_1") == 0
+    """What is left of invalidation: stats versions and LRU capacity."""
 
     def test_set_stats_bumps_the_stats_version(self, catalog):
         before = catalog.stats_version("orders_1")
@@ -238,19 +216,9 @@ class TestInvalidation:
         )
         assert catalog.stats_version("orders_1") == before + 1
 
-    def test_roll_epoch_ages_out_unused_entries(self, catalog, cache):
-        self._seed_entry(catalog, cache)
-        for _ in range(cache.ttl_epochs + 1):
-            cache.roll_epoch()
-        assert len(cache) == 0
-
-    def test_clear_empties_the_cache(self, catalog, cache):
-        self._seed_entry(catalog, cache)
-        assert cache.clear(reason="rebalance") == 1
-        assert len(cache) == 0
-
     def test_capacity_eviction(self, catalog, whatif):
-        small = GainCache(catalog, whatif, enabled=True, max_entries=1)
+        registry = MetricsRegistry()
+        small = GainCache(whatif, enabled=True, max_entries=1, registry=registry)
         index = catalog.index_for("orders_1", "o_custkey")
         for value in (41, 42):
             sql = f"select * from orders_1 where o_custkey = {value}"
@@ -258,30 +226,87 @@ class TestInvalidation:
             ctx.lookup(index)
             ctx.store(index, float(value))
         assert len(small) == 1
+        assert small.invalidations == 1
+        evicted = registry.get("gaincache_invalidations_total")
+        assert evicted.value(reason="capacity") == 1
+        # The least recently used entry went; the newest still serves.
+        first = small.begin_query(
+            _query(catalog, "select * from orders_1 where o_custkey = 41")
+        )
+        assert first.lookup(index) is None
+        last = small.begin_query(
+            _query(catalog, "select * from orders_1 where o_custkey = 42")
+        )
+        assert last.lookup(index) == 42.0
+
+
+class TestSelfValidation:
+    """Keys carry every input a gain depends on, so a stale gain can
+    never match and nothing has to invalidate entries."""
+
+    def _probe_and_store(self, cache, whatif, query, index):
+        gain = whatif.gains_for(query, [index])[index]
+        ctx = cache.begin_query(query)
+        assert ctx.lookup(index) is None
+        ctx.store(index, gain)
+        return gain
+
+    def test_build_drop_round_trip_hits_again_bit_for_bit(
+        self, catalog, whatif, cache
+    ):
+        query = _query(catalog, ORDERS_SQL)
+        index = catalog.index_for("orders_1", "o_custkey")
+        self._probe_and_store(cache, whatif, query, index)
+        catalog.materialize_index(index)
+        try:
+            # Built: the relevant config differs, so the key misses.
+            assert cache.begin_query(query).lookup(index) is None
+        finally:
+            catalog.drop_index(index)
+        # Dropped again: the old key is valid and hits, with exactly
+        # the gain a fresh optimizer would measure now.
+        fresh = WhatIfOptimizer(Optimizer(catalog)).gains_for(query, [index])
+        served = cache.begin_query(query).lookup(index)
+        assert served is not None
+        assert served.hex() == fresh[index].hex()
+        assert cache.hits_exact == 1
+        assert cache.invalidations == 0
+
+    def test_scheduler_round_trip_needs_no_hook(self, catalog):
+        tuner = ColtTuner(catalog, ColtConfig(gain_cache=True))
+        cache = tuner.profiler.gain_cache
+        query = _query(catalog, ORDERS_SQL)
+        index = catalog.index_for("orders_1", "o_custkey")
+        gain = self._probe_and_store(cache, tuner.whatif, query, index)
+        tuner.scheduler.request_materialization([index])
+        assert cache.begin_query(query).lookup(index) is None
+        tuner.scheduler.request_drop([index])
+        assert cache.begin_query(query).lookup(index) == gain
+        assert len(cache) == 1
+
+    def test_row_delta_turns_the_lookup_into_a_miss(
+        self, catalog, whatif, cache
+    ):
+        query = _query(catalog, ORDERS_SQL)
+        index = catalog.index_for("orders_1", "o_custkey")
+        gain = self._probe_and_store(cache, whatif, query, index)
+        # A write to a table the query does not read keeps the key.
+        catalog.apply_row_delta("part_1", 10)
+        assert cache.begin_query(query).lookup(index) == gain
+        catalog.apply_row_delta("orders_1", 10)
+        assert cache.begin_query(query).lookup(index) is None
+
+    def test_tuner_insert_turns_the_lookup_into_a_miss(self, catalog):
+        tuner = ColtTuner(catalog, ColtConfig(gain_cache=True))
+        cache = tuner.profiler.gain_cache
+        query = _query(catalog, ORDERS_SQL)
+        index = catalog.index_for("orders_1", "o_custkey")
+        self._probe_and_store(cache, tuner.whatif, query, index)
+        tuner.process_insert("orders_1", count=10)
+        assert cache.begin_query(query).lookup(index) is None
 
 
 class TestTunerIntegration:
-    def test_scheduler_change_invalidates_cache(self, catalog):
-        tuner = ColtTuner(catalog, ColtConfig(gain_cache=True))
-        cache = tuner.profiler.gain_cache
-        index = catalog.index_for("orders_1", "o_custkey")
-        ctx = cache.begin_query(_query(catalog, ORDERS_SQL))
-        ctx.lookup(index)
-        ctx.store(index, 5.0)
-        tuner.scheduler.request_materialization([index])
-        assert len(cache) == 0
-        assert cache.invalidations >= 1
-
-    def test_process_insert_invalidates_table(self, catalog):
-        tuner = ColtTuner(catalog, ColtConfig(gain_cache=True))
-        cache = tuner.profiler.gain_cache
-        index = catalog.index_for("orders_1", "o_custkey")
-        ctx = cache.begin_query(_query(catalog, ORDERS_SQL))
-        ctx.lookup(index)
-        ctx.store(index, 5.0)
-        tuner.process_insert("orders_1", count=10)
-        assert len(cache) == 0
-
     def test_disabled_by_default_and_profiler_skips_it(self, catalog):
         tuner = ColtTuner(catalog, ColtConfig())
         assert tuner.profiler.gain_cache.enabled is False
@@ -335,7 +360,7 @@ class TestTunerIntegration:
 
     def test_hit_metrics_track_plain_counters(self, catalog, whatif):
         registry = MetricsRegistry()
-        cache = GainCache(catalog, whatif, enabled=True, registry=registry)
+        cache = GainCache(whatif, enabled=True, registry=registry)
         query = _query(catalog, ORDERS_SQL)
         ctx = cache.begin_query(query)
         ctx.lookup(catalog.index_for("orders_1", "o_totalprice"))

@@ -153,3 +153,38 @@ class TestTornWrites:
         target.write_text(json.dumps(payload))
         with pytest.raises(SnapshotError):
             restore_fleet(tmp_path, build_small_catalog)
+
+
+class TestMalformedSections:
+    """Rollout and co-tuning sections fail as SnapshotError, not KeyError."""
+
+    def _save_with(self, tmp_path, **sections):
+        save_fleet(tmp_path, warm_fleet(make_fleet()))
+        manifest = load_json(tmp_path / FLEET_MANIFEST)
+        manifest.update(sections)
+        save_json(tmp_path / FLEET_MANIFEST, manifest)
+
+    def test_rollout_record_on_unknown_table(self, tmp_path):
+        record = {
+            "table": "no_such_table",
+            "columns": ["user_id"],
+            "stage": "canary",
+            "canary_id": 0,
+            "started_epoch": 0,
+        }
+        self._save_with(
+            tmp_path,
+            rollout={"epoch": 0, "rollback_cooldown": 2, "records": [record]},
+        )
+        with pytest.raises(SnapshotError, match="malformed fleet manifest"):
+            restore_fleet(tmp_path, build_small_catalog)
+
+    def test_rollout_without_rollback_cooldown(self, tmp_path):
+        self._save_with(tmp_path, rollout={"epoch": 0, "records": []})
+        with pytest.raises(SnapshotError, match="rollback_cooldown"):
+            restore_fleet(tmp_path, build_small_catalog)
+
+    def test_cotune_section_missing_fields(self, tmp_path):
+        self._save_with(tmp_path, cotune={"n_replicas": 2})
+        with pytest.raises(SnapshotError, match="malformed fleet manifest"):
+            restore_fleet(tmp_path, build_small_catalog)
