@@ -100,7 +100,11 @@ class FeatureMap:
         tracker: CandidateTracker,
         materialized,
     ) -> List[float]:
-        """The context vector for one arm, right now."""
+        """The context vector for one arm, right now.
+
+        ``materialized`` must be a set: it is tested for membership
+        directly, not copied per arm.
+        """
         stats = tracker.stats_for(index)
         smoothed = stats.smoothed_benefit if stats is not None else 0.0
         window = stats.window_total() if stats is not None else 0.0
@@ -113,7 +117,7 @@ class FeatureMap:
             _log_damp(window),
             min(4.0, self._catalog.index_size_pages(index) / self._budget),
             math.log10(1.0 + max(0, table.row_count)),
-            1.0 if index in set(materialized) else 0.0,
+            1.0 if index in materialized else 0.0,
             _log_damp(self._read_rate.get(index.table, 0.0)),
             _log_damp(self._write_rate.get(index.table, 0.0)),
             float(len(index.columns)),

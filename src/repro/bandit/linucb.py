@@ -14,7 +14,8 @@ inverse with partial pivoting is both fast enough and dependency-free
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+import operator
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 def mat_identity(dim: int, scale: float = 1.0) -> List[List[float]]:
@@ -26,14 +27,17 @@ def mat_identity(dim: int, scale: float = 1.0) -> List[List[float]]:
 
 def mat_vec(matrix: Sequence[Sequence[float]], vector: Sequence[float]) -> List[float]:
     """Matrix-vector product."""
-    return [
-        sum(row[j] * vector[j] for j in range(len(vector))) for row in matrix
-    ]
+    return [sum(map(operator.mul, row, vector)) for row in matrix]
 
 
 def dot(a: Sequence[float], b: Sequence[float]) -> float:
-    """Inner product."""
-    return sum(x * y for x, y in zip(a, b))
+    """Inner product.
+
+    ``map(operator.mul, ...)`` gives ``sum`` the same products in the
+    same order as a generator would (so results are bit-identical)
+    without running a Python frame per term.
+    """
+    return sum(map(operator.mul, a, b))
 
 
 def mat_inverse(matrix: Sequence[Sequence[float]]) -> List[List[float]]:
@@ -97,7 +101,10 @@ class RidgeModel:
         self.v = mat_identity(dim, lambda_reg)
         self.b = [0.0] * dim
         self.updates = 0
-        self._inv: List[List[float]] | None = None
+        # V^-1 and theta = V^-1 b change only with V and b: computed on
+        # first use, cleared by update() and decay().
+        self._inv: Optional[List[List[float]]] = None
+        self._theta: Optional[Tuple[float, ...]] = None
 
     # ------------------------------------------------------------------
     def update(self, x: Sequence[float], reward: float) -> None:
@@ -114,6 +121,7 @@ class RidgeModel:
             self.b[i] += reward * xi
         self.updates += 1
         self._inv = None
+        self._theta = None
 
     def decay(self) -> None:
         """Age the evidence: ``V <- gamma V + (1-gamma) lambda I``.
@@ -133,6 +141,7 @@ class RidgeModel:
             row[i] += (1.0 - g) * self.lambda_reg
             self.b[i] *= g
         self._inv = None
+        self._theta = None
 
     # ------------------------------------------------------------------
     def _inverse(self) -> List[List[float]]:
@@ -140,13 +149,18 @@ class RidgeModel:
             self._inv = mat_inverse(self.v)
         return self._inv
 
+    def _theta_cached(self) -> Tuple[float, ...]:
+        if self._theta is None:
+            self._theta = tuple(mat_vec(self._inverse(), self.b))
+        return self._theta
+
     def theta(self) -> List[float]:
-        """The ridge point estimate ``V^-1 b``."""
-        return mat_vec(self._inverse(), self.b)
+        """The ridge point estimate ``V^-1 b`` (a fresh list per call)."""
+        return list(self._theta_cached())
 
     def mean(self, x: Sequence[float]) -> float:
         """Predicted reward ``theta^T x``."""
-        return dot(self.theta(), x)
+        return dot(self._theta_cached(), x)
 
     def width(self, x: Sequence[float]) -> float:
         """Confidence width ``sqrt(x^T V^-1 x)`` (unscaled by alpha)."""
@@ -155,9 +169,8 @@ class RidgeModel:
 
     def ucb(self, x: Sequence[float], alpha: float) -> float:
         """Optimistic reward estimate ``theta^T x + alpha * width(x)``."""
-        inv = self._inverse()
-        mean = dot(mat_vec(inv, self.b), x)
-        quad = dot(x, mat_vec(inv, x))
+        mean = dot(self._theta_cached(), x)
+        quad = dot(x, mat_vec(self._inverse(), x))
         return mean + alpha * math.sqrt(max(0.0, quad))
 
     # ------------------------------------------------------------------

@@ -55,6 +55,9 @@ class TableDef:
         row_count: Statistical row count used by the cost model.  This may
             describe a larger logical table than is physically stored (see
             DESIGN.md on paper-scale statistics over sampled data).
+        row_width: Average row payload width in bytes, the sum of the
+            column widths.  Fixed at construction like the column list:
+            every heap-size estimate reads it.
     """
 
     name: str
@@ -65,6 +68,7 @@ class TableDef:
         self._by_name = {c.name: c for c in self.columns}
         if len(self._by_name) != len(self.columns):
             raise ValueError(f"duplicate column names in table {self.name!r}")
+        self.row_width: int = sum(c.dtype.width for c in self.columns)
 
     def column(self, name: str) -> ColumnDef:
         """Look up a column by name.
@@ -77,11 +81,6 @@ class TableDef:
     def has_column(self, name: str) -> bool:
         """Whether the table defines a column with this name."""
         return name in self._by_name
-
-    @property
-    def row_width(self) -> int:
-        """Average row payload width in bytes."""
-        return sum(c.dtype.width for c in self.columns)
 
     def heap_pages(self, params: CostParams) -> float:
         """Heap size in pages under the statistical row count."""

@@ -10,7 +10,7 @@ materialization cost -- independent of any physical B+tree.
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
+from typing import Dict, Tuple
 
 from repro.engine.cost_params import CostParams
 from repro.engine.datatypes import DataType
@@ -37,6 +37,15 @@ class IndexDef:
         dtype: Data type of the leading key column.
         extra_columns: Trailing key columns as (name, dtype) pairs, in
             key order; empty for single-column indexes.
+        columns: All key column names, in key order.
+        dtypes: Data types of all key columns, in key order.
+        key_width: Total key width in bytes.
+        name: Canonical index name, e.g. ``ix_lineitem_l_shipdate``.
+
+    The last four are derived from the fields once, at construction
+    (the optimizer and tuner read them on every plan).  They are not
+    dataclass fields: equality, hashing, ``repr`` and the pickled
+    state cover the four fields alone.
     """
 
     table: str
@@ -44,30 +53,34 @@ class IndexDef:
     dtype: DataType
     extra_columns: Tuple[Tuple[str, DataType], ...] = ()
 
+    def __post_init__(self) -> None:
+        columns = (self.column,) + tuple(name for name, _ in self.extra_columns)
+        dtypes = (self.dtype,) + tuple(dt for _, dt in self.extra_columns)
+        # The dataclass is frozen, so the derived values go straight
+        # into the instance dict.
+        vars(self).update(
+            columns=columns,
+            dtypes=dtypes,
+            key_width=sum(dt.width for dt in dtypes),
+            name=f"ix_{self.table}_" + "_".join(columns),
+        )
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {
+            "table": self.table,
+            "column": self.column,
+            "dtype": self.dtype,
+            "extra_columns": self.extra_columns,
+        }
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        vars(self).update(state)
+        self.__post_init__()
+
     @property
     def is_composite(self) -> bool:
         """Whether this index has more than one key column."""
         return bool(self.extra_columns)
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        """All key column names, in key order."""
-        return (self.column,) + tuple(name for name, _ in self.extra_columns)
-
-    @property
-    def dtypes(self) -> Tuple[DataType, ...]:
-        """Data types of all key columns, in key order."""
-        return (self.dtype,) + tuple(dt for _, dt in self.extra_columns)
-
-    @property
-    def key_width(self) -> int:
-        """Total key width in bytes."""
-        return sum(dt.width for dt in self.dtypes)
-
-    @property
-    def name(self) -> str:
-        """Canonical index name, e.g. ``ix_lineitem_l_shipdate``."""
-        return f"ix_{self.table}_" + "_".join(self.columns)
 
     def __str__(self) -> str:
         return self.name

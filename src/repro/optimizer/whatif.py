@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.backend.base import BackendError, WhatIfSession
+from repro.backend.base import WhatIfSession
 from repro.backend.local import LocalBackend
 from repro.engine.index import IndexDef
 from repro.optimizer.access import IndexConfig
@@ -114,15 +114,19 @@ class WhatIfOptimizer:
             tie-breaks).
 
         Raises:
-            WhatIfProbeError: when a probe fails (injected fault, an
-                optimizer error, or a reverse probe on a backend without
-                ``reverse_whatif``).  The failed call is already
-                counted; gains measured earlier in this invocation ride
-                along on the exception's ``partial_gains`` so callers
-                can consume them instead of re-probing.
+            WhatIfProbeError: when a probe fails as probe noise (an
+                injected fault, or a reverse probe on a backend without
+                ``reverse_whatif``).
+                The failed call is already counted; gains measured
+                earlier in this invocation ride along on the
+                exception's ``partial_gains`` so callers can consume
+                them instead of re-probing.
             BackendError: when the backend itself is unusable for the
                 request (e.g. a trace miss during deterministic replay);
                 never absorbed as probe noise.
+
+        Any other exception (a ``TypeError`` in the optimizer, say) is
+        a bug, not probe noise: it propagates unchanged.
         """
         if materialized is None:
             materialized = self.backend.current_config()
@@ -160,13 +164,6 @@ class WhatIfOptimizer:
             except WhatIfProbeError as exc:
                 exc.partial_gains = dict(gains)
                 raise
-            except BackendError:
-                raise
-            except Exception as exc:
-                raise WhatIfProbeError(
-                    f"what-if probe for {index} failed: {exc}",
-                    partial_gains=gains,
-                ) from exc
         return gains
 
     def relevant_signature(

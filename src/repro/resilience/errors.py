@@ -14,10 +14,11 @@ class WhatIfProbeError(RuntimeError):
     """A single what-if probe failed (call error or timeout).
 
     Raised by :class:`~repro.optimizer.whatif.WhatIfOptimizer` when a
-    probe cannot be answered -- either because the underlying optimizer
-    raised, or because a fault injector fired.  The probe's what-if call
-    is still counted (and charged): a failed call costs wall-clock time
-    in the system this simulates.
+    probe cannot be answered -- a fault injector fired, or the backend
+    cannot price a reverse probe.  It is the only probe noise the
+    tuners absorb; any other error from the optimizer propagates.  The
+    probe's what-if call is still counted (and charged): a failed call
+    costs wall-clock time in the system this simulates.
 
     Attributes:
         partial_gains: Gains measured for indexes probed *earlier in the

@@ -1,8 +1,11 @@
 """Tests for the pure-Python ridge model behind the C³-UCB bandit."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bandit.linucb import (
     RidgeModel,
@@ -161,3 +164,110 @@ class TestSnapshot:
         snap["b"] = [0.0]
         with pytest.raises(ValueError, match="shape"):
             RidgeModel.from_snapshot(snap)
+
+
+def _old_mat_vec(matrix, vector):
+    """The generator form ``mat_vec`` had before it used ``map``."""
+    return [
+        sum(row[j] * vector[j] for j in range(len(vector))) for row in matrix
+    ]
+
+
+def _old_dot(a, b):
+    """The generator form ``dot`` had before it used ``map``."""
+    return sum(x * y for x, y in zip(a, b))
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+class TestProductsMatchTheGeneratorForms:
+    """``dot``/``mat_vec`` feed ``sum`` the same products in the same
+    order as the generator forms, so every result is bit-identical."""
+
+    @given(data=st.data(), dim=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=200, deadline=None)
+    def test_property(self, data, dim):
+        vector = data.draw(st.lists(_floats, min_size=dim, max_size=dim))
+        other = data.draw(st.lists(_floats, min_size=dim, max_size=dim))
+        matrix = data.draw(
+            st.lists(
+                st.lists(_floats, min_size=dim, max_size=dim),
+                min_size=1,
+                max_size=dim,
+            )
+        )
+        # repr() compares bits, NaN from inf - inf included.
+        assert repr(dot(vector, other)) == repr(_old_dot(vector, other))
+        assert repr(mat_vec(matrix, vector)) == repr(_old_mat_vec(matrix, vector))
+
+    def test_twenty_thousand_random_vectors(self):
+        rng = random.Random(20_000)
+        for _ in range(20_000):
+            dim = rng.randint(1, 12)
+            a = [rng.uniform(-1e3, 1e3) for _ in range(dim)]
+            b = [rng.gauss(0.0, 1.0) * 10 ** rng.randint(-6, 6) for _ in range(dim)]
+            assert dot(a, b) == _old_dot(a, b)
+        for _ in range(2_000):
+            dim = rng.randint(1, 12)
+            matrix = [[rng.uniform(-5.0, 5.0) for _ in range(dim)] for _ in range(dim)]
+            vector = [rng.uniform(-5.0, 5.0) for _ in range(dim)]
+            assert mat_vec(matrix, vector) == _old_mat_vec(matrix, vector)
+
+
+def _fresh_theta(model):
+    return mat_vec(mat_inverse(model.v), model.b)
+
+
+class TestRidgeCache:
+    """``theta`` is cached beside ``V^-1`` and must always equal a fresh
+    ``V^-1 b``, bit for bit."""
+
+    def _model(self):
+        model = RidgeModel(4, lambda_reg=1.5, forgetting=0.8)
+        rng = random.Random(4)
+        for _ in range(6):
+            model.update([rng.uniform(-1.0, 1.0) for _ in range(4)], rng.uniform(-2.0, 2.0))
+        return model
+
+    def test_after_update(self):
+        model = self._model()
+        assert model.theta() == _fresh_theta(model)
+        model.update([0.5, -1.0, 0.0, 2.0], 3.0)
+        assert model.theta() == _fresh_theta(model)
+
+    def test_after_decay(self):
+        model = self._model()
+        assert model.theta() == _fresh_theta(model)
+        model.decay()
+        assert model.theta() == _fresh_theta(model)
+
+    def test_after_from_snapshot(self):
+        model = self._model()
+        model.theta()
+        restored = RidgeModel.from_snapshot(model.to_snapshot())
+        assert restored.theta() == _fresh_theta(restored) == model.theta()
+
+    def test_interleaved_reads_and_writes(self):
+        model = RidgeModel(3, forgetting=0.9)
+        rng = random.Random(3)
+        for step in range(60):
+            x = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+            theta = _fresh_theta(model)
+            assert model.theta() == theta
+            assert model.mean(x) == dot(theta, x)
+            assert model.ucb(x, 0.7) == dot(theta, x) + 0.7 * model.width(x)
+            if step % 3 == 0:
+                model.decay()
+            else:
+                model.update(x, rng.uniform(-1.0, 1.0))
+
+    def test_returned_theta_cannot_poison_the_cache(self):
+        model = self._model()
+        x = [1.0, 0.5, -0.25, 2.0]
+        mean = model.mean(x)
+        theta = model.theta()
+        theta[0] += 1e6
+        theta.append(7.0)
+        assert model.mean(x) == mean
+        assert model.theta() == _fresh_theta(model)

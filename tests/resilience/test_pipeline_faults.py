@@ -165,6 +165,26 @@ class TestBuildFaultsThroughTuner:
         assert injector.injected["whatif"] > 0
 
 
+class TestOptimizerBugsAreLoud:
+    def test_type_error_in_a_whatif_probe_escapes_run(self, small_catalog):
+        tuner = ColtTuner(small_catalog, _config())
+        bug = TypeError("bug in the optimizer")
+
+        def get_cost(query, config=None, session=None):
+            raise bug
+
+        tuner.backend.get_cost = get_cost
+        queries = [_eq_query(i + 1) for i in range(200)]
+        with pytest.raises(TypeError) as raised:
+            tuner.run(queries, on_error="raise")
+        assert raised.value is bug
+        # A probe was issued, and its failure was not taken for probe
+        # noise: nothing counted, the breaker never heard of it.
+        assert tuner.whatif.call_count == 1
+        assert tuner.profiler.probe_failures == 0
+        assert tuner.profiler.breaker.state is BreakerState.CLOSED
+
+
 class TestRunOnError:
     def _bad_query(self):
         return Query(
